@@ -14,7 +14,6 @@ from boundarylab import (
     FreeGroup,
     contract_measure,
     enumerate_cosets,
-    induced_extension,
     induced_space,
     parse_word,
     replay,
@@ -38,7 +37,6 @@ def main() -> int:
     table = enumerate_cosets(subgroup(F2, [parse_word(F2, s) for s in ("aa", "b", "abA")]))
     basis = schreier_basis(table)
     space = induced_space(table, basis)
-    induced_extension(space)  # built for its side effects in larger demos
 
     print(f"coset table: index {table.size}, transversal "
           f"{[t.to_str() for t in table.transversal]}")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every bundled scenario and write the reports to a directory.
 
-Usage: python scripts/run_all_scenarios.py [--out-dir reports] [--workers N]
+Usage: python scripts/run_all_scenarios.py [--out-dir reports]
 """
 
 import argparse
@@ -18,14 +18,13 @@ from boundarylab.scenario import (
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out-dir", default="reports")
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     any_fail = False
     for name in bundled_scenario_names():
-        report = run_scenario(load_bundled_scenario(name), workers=args.workers)
+        report = run_scenario(load_bundled_scenario(name))
         path = out_dir / f"{name}.report.json"
         path.write_text(report_json_text(report), encoding="utf-8")
         verdicts = ", ".join(

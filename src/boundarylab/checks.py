@@ -15,7 +15,6 @@ evaluated in any order (results are assembled in sample order).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -27,6 +26,7 @@ from .cosets import (
 )
 from .measures import (
     AtomicMeasure,
+    acting_ball,
     atomic_measure,
     is_fiber_supported,
     measure_to_json,
@@ -48,10 +48,13 @@ from .spaces import (
 )
 from .words import (
     FreeGroup,
+    PermutationGroup,
     Word,
     alphabet,
     cached_ball,
+    closure,
     letters_to_str,
+    reduce_letters,
 )
 
 PASS = "PASS"
@@ -99,10 +102,13 @@ def concentration(nu: AtomicMeasure):
         pts = [p[1] for p, _ in nu.atoms]
     else:
         pts = [p for p, _ in nu.atoms]
+    return _points_depth(pts), coset
+
+
+def _points_depth(pts: Sequence[BoundaryPoint]):
     if len(pts) == 1:
-        return EQUAL, coset
-    depth = min(common_prefix_depth(pts[0], q) for q in pts[1:])
-    return depth, coset
+        return EQUAL
+    return min(common_prefix_depth(pts[0], q) for q in pts[1:])
 
 
 def shared_prefix(nu: AtomicMeasure, upto: int) -> tuple[int, ...]:
@@ -144,10 +150,7 @@ def replay(nu: AtomicMeasure, cert: ContractionCertificate):
     Uses nothing but measure push-forward and the space action, so a stored
     certificate can be audited from serialized data alone.
     """
-    cur = nu
-    for step in cert.steps:
-        cur = pushforward_group(step, cur)
-    depth, coset = concentration(cur)
+    cur, depth, coset = _push_through(nu, cert.steps)
     prefix = shared_prefix(cur, cert.achieved_depth)
     ok = (
         depth >= cert.achieved_depth
@@ -164,21 +167,16 @@ def replay(nu: AtomicMeasure, cert: ContractionCertificate):
     return ok, detail, cur
 
 
-def _certificate_from_final(steps, final: AtomicMeasure, target: int) -> ContractionCertificate:
-    depth, coset = concentration(final)
-    achieved = int(min(depth, target))
-    return ContractionCertificate(
-        tuple(steps), achieved, coset, shared_prefix(final, achieved)
-    )
+def _push_through(nu: AtomicMeasure, steps):
+    """(final measure, depth, coset) after pushing nu through the steps in order."""
+    cur = nu
+    for step in steps:
+        cur = pushforward_group(step, cur)
+    depth, coset = concentration(cur)
+    return cur, depth, coset
 
 
 # -- contraction strategies ---------------------------------------------------------
-
-def _points_depth(pts: Sequence[BoundaryPoint]):
-    if len(pts) == 1:
-        return EQUAL
-    return min(common_prefix_depth(pts[0], q) for q in pts[1:])
-
 
 def _axis_power_steps(points, rank: int, target: int, budget: int):
     """Powers of the first generator, preceded by one perturbing element when
@@ -218,7 +216,6 @@ def contract_measure(
     target_depth: int,
     budget: int,
     strategy: str = "axis-power",
-    seed: int = 0,
     step_radius: int = 2,
 ) -> Optional[ContractionCertificate]:
     """Search for a certificate concentrating nu to the target cylinder depth.
@@ -234,7 +231,9 @@ def contract_measure(
     * ``greedy-ball``: repeatedly apply the ball element that most increases
       the concentration depth (shortlex tie-break); may stall.
 
-    Returns None when the budget runs out (inconclusive, never a disproof).
+    The strategy only finds the steps; the certificate's claim is read off
+    the measure pushed through them, as :func:`replay` does.  Returns None
+    when the budget runs out (inconclusive, never a disproof).
     """
     if isinstance(nu.space, FiniteSpace):
         raise ValueError("finite-space measures use the exhaustive orbit engine")
@@ -249,12 +248,21 @@ def contract_measure(
         raise ValueError("budget must be >= 1")
 
     if strategy == "axis-power":
-        return _contract_axis_boundary(nu, target_depth, budget)
-    if strategy == "fiber-lift":
-        return _contract_fiber_lift(nu, target_depth, budget)
-    if strategy == "greedy-ball":
-        return _contract_greedy(nu, target_depth, budget, step_radius)
-    raise ValueError(f"unknown contraction strategy {strategy!r}")
+        steps = _contract_axis_boundary(nu, target_depth, budget)
+    elif strategy == "fiber-lift":
+        steps = _contract_fiber_lift(nu, target_depth, budget)
+    elif strategy == "greedy-ball":
+        steps = _contract_greedy(nu, target_depth, budget, step_radius)
+    else:
+        raise ValueError(f"unknown contraction strategy {strategy!r}")
+    if steps is None:
+        return None
+    final, depth, coset = _push_through(nu, steps)
+    if depth < target_depth:
+        return None
+    return ContractionCertificate(
+        tuple(steps), target_depth, coset, shared_prefix(final, target_depth)
+    )
 
 
 def _contract_axis_boundary(nu, target, budget):
@@ -267,24 +275,14 @@ def _contract_axis_boundary(nu, target, budget):
         return None
     if space.subgroup_action is not None:
         _, basis = space.subgroup_action
-        steps = [eval_in_ambient(basis, w) for w in fsteps]
-    else:
-        steps = fsteps
-    final = nu
-    for s in steps:
-        final = pushforward_group(s, final)
-    cert = _certificate_from_final(steps, final, target)
-    if cert.achieved_depth < target:
-        return None
-    return cert
+        return [eval_in_ambient(basis, w) for w in fsteps]
+    return fsteps
 
 
 def _contract_fiber_lift(nu, target, budget):
     space = nu.space
     if not isinstance(space, InducedSpace):
         raise ValueError("fiber-lift strategy expects an induced-space measure")
-    if not isinstance(space.fiber, BoundarySpace):
-        raise ValueError("fiber-lift needs a boundary fiber")
     cosets = {p[0] for p, _ in nu.atoms}
     if len(cosets) != 1:
         raise ValueError("fiber-lift needs a fiber-supported measure")
@@ -295,27 +293,17 @@ def _contract_fiber_lift(nu, target, budget):
         return None
     t = space.table.rep(i)
     tinv = t.inverse()
-    steps = [t * eval_in_ambient(space.basis, w) * tinv for w in fsteps]
-    final = nu
-    for s in steps:
-        final = pushforward_group(s, final)
-    cert = _certificate_from_final(steps, final, target)
-    if cert.achieved_depth < target or cert.limit_coset != i:
-        return None
-    return cert
+    return [t * eval_in_ambient(space.basis, w) * tinv for w in fsteps]
 
 
 def _contract_greedy(nu, target, budget, step_radius):
-    from .measures import acting_ball
-
     candidates = [w for w in acting_ball(nu.space, step_radius) if not w.is_identity]
     cur = nu
     steps: list[Word] = []
     while True:
         depth, _ = concentration(cur)
         if depth >= target:
-            cert = _certificate_from_final(steps, cur, target)
-            return cert
+            return steps
         if len(steps) >= budget:
             return None
         best = None
@@ -376,8 +364,6 @@ def steer_into_cylinder(nu: AtomicMeasure, cylinder: tuple[int, ...]) -> Word:
         )
         seps = (x, wl)
     letters = cylinder + seps + tuple(-v for v in reversed(w))
-    from .words import reduce_letters
-
     return Word(space.free_ctx, reduce_letters(letters))
 
 
@@ -399,6 +385,25 @@ def sample_boundary_point(rng: random.Random, rank: int, walk_len: int = 8) -> B
     return boundary_act(random_walk_letters(rng, rank, walk_len), base)
 
 
+def _distinct_draws(natoms: int, draw) -> list:
+    """Up to natoms distinct results of ``draw()``, giving up after 50 * natoms draws."""
+    pts: list = []
+    tries = 0
+    while len(pts) < natoms and tries < 50 * natoms:
+        p = draw()
+        if p not in pts:
+            pts.append(p)
+        tries += 1
+    return pts
+
+
+def _random_weights(space, pts, rng: random.Random, max_denom: int) -> AtomicMeasure:
+    """The measure on pts with weights proportional to draws from 1..max_denom."""
+    nums = [rng.randint(1, max_denom) for _ in pts]
+    total = sum(nums)
+    return atomic_measure(space, [(p, Fraction(num, total)) for p, num in zip(pts, nums)])
+
+
 def sample_fiber_measure(
     space: InducedSpace,
     coset: int,
@@ -409,19 +414,11 @@ def sample_fiber_measure(
 ) -> AtomicMeasure:
     """Fiber-supported measure: walk-generated atoms, random rational weights."""
     rank = space.fiber.rank
-    natoms = rng.randint(1, max_atoms)
-    pts: list[BoundaryPoint] = []
-    tries = 0
-    while len(pts) < natoms and tries < 50 * natoms:
-        p = sample_boundary_point(rng, rank, walk_len)
-        if p not in pts:
-            pts.append(p)
-        tries += 1
-    nums = [rng.randint(1, max_denom) for _ in pts]
-    total = sum(nums)
-    return atomic_measure(
-        space, [((coset, p), Fraction(num, total)) for p, num in zip(pts, nums)]
+    pts = _distinct_draws(
+        rng.randint(1, max_atoms),
+        lambda: (coset, sample_boundary_point(rng, rank, walk_len)),
     )
+    return _random_weights(space, pts, rng, max_denom)
 
 
 def sample_boundary_measure(
@@ -431,17 +428,11 @@ def sample_boundary_measure(
     walk_len: int = 8,
     max_denom: int = 64,
 ) -> AtomicMeasure:
-    natoms = rng.randint(1, max_atoms)
-    pts: list[BoundaryPoint] = []
-    tries = 0
-    while len(pts) < natoms and tries < 50 * natoms:
-        p = sample_boundary_point(rng, space.rank, walk_len)
-        if p not in pts:
-            pts.append(p)
-        tries += 1
-    nums = [rng.randint(1, max_denom) for _ in pts]
-    total = sum(nums)
-    return atomic_measure(space, [(p, Fraction(num, total)) for p, num in zip(pts, nums)])
+    pts = _distinct_draws(
+        rng.randint(1, max_atoms),
+        lambda: sample_boundary_point(rng, space.rank, walk_len),
+    )
+    return _random_weights(space, pts, rng, max_denom)
 
 
 def sample_spread_measure(
@@ -451,22 +442,15 @@ def sample_spread_measure(
     n = space.table.size
     if n < 2:
         raise ValueError("spread measures need at least two cosets")
-    natoms = max(2, rng.randint(2, max(2, max_atoms)))
-    pts = []
-    tries = 0
-    while len(pts) < natoms and tries < 50 * natoms:
-        coset = rng.randint(1, n)
-        p = (coset, sample_boundary_point(rng, space.fiber.rank, walk_len))
-        if p not in pts:
-            pts.append(p)
-        tries += 1
+    pts = _distinct_draws(
+        max(2, rng.randint(2, max(2, max_atoms))),
+        lambda: (rng.randint(1, n), sample_boundary_point(rng, space.fiber.rank, walk_len)),
+    )
     cosets = {p[0] for p in pts}
     if len(cosets) == 1:
         other = 1 + (pts[0][0] % n)
         pts[-1] = (other, pts[-1][1])
-    nums = [rng.randint(1, 64) for _ in pts]
-    total = sum(nums)
-    return atomic_measure(space, [(p, Fraction(num, total)) for p, num in zip(pts, nums)])
+    return _random_weights(space, pts, rng, 64)
 
 
 # -- minimality ------------------------------------------------------------------------
@@ -527,8 +511,6 @@ def check_minimal_symbolic(
     """
     if depth < 0 or radius < 0 or samples < 1:
         raise ValueError("depth, radius >= 0 and samples >= 1 required")
-    from .measures import acting_ball
-
     targets = _coverage_targets(space, depth)
     ballwords = acting_ball(space, radius, ball_cap)
     evidence = []
@@ -578,25 +560,14 @@ def finite_contractible(space: FiniteSpace, nu: AtomicMeasure) -> CheckReport:
     if nu.space != space:
         raise ValueError("measure does not live on the given space")
     letters = alphabet(space.ambient)
-    seen = {nu.atoms}
-    frontier = [nu.atoms]
-    dirac_found = len(nu.atoms) == 1
-    while frontier:
-        nxt = []
-        for atoms in frontier:
-            for l in letters:
-                image = tuple(
-                    sorted(
-                        ((space.act_letter(l, p), w) for p, w in atoms),
-                        key=lambda kv: kv[0],
-                    )
-                )
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-                    if len(image) == 1:
-                        dirac_found = True
-        frontier = nxt
+
+    def images(atoms):
+        for l in letters:
+            yield tuple(sorted(((space.act_letter(l, p), w) for p, w in atoms),
+                               key=lambda kv: kv[0]))
+
+    seen = closure(nu.atoms, images)
+    dirac_found = any(len(atoms) == 1 for atoms in seen)
     orbit_json = [
         [{"point": p, "weight": str(w)} for p, w in atoms] for atoms in sorted(seen)
     ]
@@ -612,42 +583,40 @@ def finite_contractible(space: FiniteSpace, nu: AtomicMeasure) -> CheckReport:
 
 # -- strongly proximal extension check ------------------------------------------------
 
-def _finite_extension_report(phi: ExtensionMap, check_name: str) -> CheckReport:
-    """Exhaustive verdict for a finite extension: equivariance, surjectivity,
-    then a uniform-measure witness on every multi-point fiber."""
+def _finite_extension_report(phi: ExtensionMap) -> CheckReport:
+    """Exhaustive sp-extension verdict for a finite extension: equivariance,
+    surjectivity, then a uniform-measure witness on every multi-point fiber."""
     src, tgt = phi.source, phi.target
+
+    def report(verdict, evidence):
+        return CheckReport(
+            check="sp-extension",
+            verdict=verdict,
+            parameters={"source_size": src.size, "target_size": tgt.size},
+            seed=None,
+            evidence=evidence,
+            truncation={},
+        )
+
     letters = alphabet(src.ambient)
     for y in src.points():
         for l in letters:
             left = phi.apply(src.act_letter(l, y))
             right = tgt.act_letter(l, phi.apply(y))
             if left != right:
-                return CheckReport(
-                    check=check_name,
-                    verdict=FAIL,
-                    parameters={"source_size": src.size, "target_size": tgt.size},
-                    seed=None,
-                    evidence=[
-                        {
-                            "violation": "equivariance",
-                            "letter": letters_to_str((l,)),
-                            "point": y,
-                            "map_then_act": right,
-                            "act_then_map": left,
-                        }
-                    ],
-                    truncation={},
-                )
+                return report(FAIL, [
+                    {
+                        "violation": "equivariance",
+                        "letter": letters_to_str((l,)),
+                        "point": y,
+                        "map_then_act": right,
+                        "act_then_map": left,
+                    }
+                ])
     image = {phi.apply(y) for y in src.points()}
     if image != set(tgt.points()):
-        return CheckReport(
-            check=check_name,
-            verdict=FAIL,
-            parameters={"source_size": src.size, "target_size": tgt.size},
-            seed=None,
-            evidence=[{"violation": "surjectivity", "missed": sorted(set(tgt.points()) - image)}],
-            truncation={},
-        )
+        return report(FAIL, [{"violation": "surjectivity",
+                              "missed": sorted(set(tgt.points()) - image)}])
     fibers: dict[int, list[int]] = {}
     for y in src.points():
         fibers.setdefault(phi.apply(y), []).append(y)
@@ -673,14 +642,7 @@ def _finite_extension_report(phi: ExtensionMap, check_name: str) -> CheckReport:
         )
         if rep.verdict != PASS:
             all_pass = False
-    return CheckReport(
-        check=check_name,
-        verdict=PASS if all_pass else FAIL,
-        parameters={"source_size": src.size, "target_size": tgt.size},
-        seed=None,
-        evidence=evidence,
-        truncation={},
-    )
+    return report(PASS if all_pass else FAIL, evidence)
 
 
 def check_sp_extension(
@@ -691,7 +653,6 @@ def check_sp_extension(
     target_depth: int = 20,
     budget: int = 64,
     strategy: str = "fiber-lift",
-    workers: int = 1,
 ) -> CheckReport:
     """Contract seeded fiber-supported measures through the extension.
 
@@ -700,11 +661,12 @@ def check_sp_extension(
     source: exhaustive orbit verdict per fiber.
     """
     if isinstance(phi.source, FiniteSpace):
-        return _finite_extension_report(phi, "sp-extension")
+        return _finite_extension_report(phi)
     space = phi.source
     n = space.table.size
 
-    def run_sample(idx: int) -> dict:
+    evidence = []
+    for idx in range(samples):
         rng = random.Random(seed ^ idx)
         coset = 1 + (idx % n)
         nu = sample_fiber_measure(space, coset, rng, max_atoms)
@@ -713,21 +675,14 @@ def check_sp_extension(
             "sample": idx,
             "coset": coset,
             "measure": measure_to_json(nu),
+            "certificate": None,
         }
-        if cert is None:
-            entry["certificate"] = None
-            return entry
-        ok, detail, _ = replay(nu, cert)
-        entry["certificate"] = cert.to_json()
-        entry["replay"] = detail
-        entry["replay_ok"] = ok
-        return entry
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evidence = list(pool.map(run_sample, range(samples)))
-    else:
-        evidence = [run_sample(idx) for idx in range(samples)]
+        if cert is not None:
+            ok, detail, _ = replay(nu, cert)
+            entry["certificate"] = cert.to_json()
+            entry["replay"] = detail
+            entry["replay_ok"] = ok
+        evidence.append(entry)
 
     missing = [e["sample"] for e in evidence if e["certificate"] is None]
     bad_replay = [e["sample"] for e in evidence if e.get("replay_ok") is False]
@@ -978,8 +933,6 @@ def amenable_size_check(base: FiniteSpace, candidates: Sequence[dict]) -> CheckR
     the meta-check PASSes iff the exhaustive per-candidate verdicts match the
     all-singleton-fibers prediction (source size == base size).
     """
-    from .words import PermutationGroup
-
     if not isinstance(base.ambient, PermutationGroup):
         raise ValueError("the size dichotomy check is for finite ambient groups")
     evidence = []
@@ -988,7 +941,7 @@ def amenable_size_check(base: FiniteSpace, candidates: Sequence[dict]) -> CheckR
         name = cand["name"]
         space = cand["space"]
         phi = ExtensionMap(space, base, tuple(cand["projection"]))
-        rep = _finite_extension_report(phi, "sp-extension")
+        rep = _finite_extension_report(phi)
         expected = PASS if space.size == base.size else FAIL
         entry = {
             "candidate": name,

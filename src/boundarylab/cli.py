@@ -24,15 +24,8 @@ from .scenario import (
     report_json_text,
     run_scenario,
 )
-from .spaces import BoundarySpace, induced_point_to_str
-from .words import BudgetExceededError
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BOUNDARYLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
+from .spaces import BoundarySpace, boundary_point, induced_point_to_str
+from .words import BudgetExceededError, Word
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario file's check suite")
     p_run.add_argument("scenario", help="scenario JSON path or bundled scenario name")
-    p_run.add_argument("--workers", type=int, default=_default_workers())
     p_run.add_argument("--out", help="write the JSON report here")
 
     p_replay = sub.add_parser("replay", help="re-verify a stored certificate")
@@ -84,7 +76,7 @@ def _load(path_or_name: str):
 
 def _cmd_run(args) -> int:
     scenario = _load(args.scenario)
-    report = run_scenario(scenario, workers=args.workers)
+    report = run_scenario(scenario)
     for entry in report.checks:
         rep = entry["report"]
         flag = " (flagged)" if rep.verdict == "INCONCLUSIVE" else ""
@@ -118,13 +110,9 @@ def _cmd_induce(args) -> int:
     scenario = _load(args.scenario)
     objs = ScenarioObjects(scenario)
     space = objs.induced
-    from .spaces import boundary_point
-
     y0 = boundary_point((), (1,))
     samples = []
     for x in range(1, scenario.group.rank + 1):
-        from .words import Word
-
         gamma = Word(scenario.group, (x,))
         for i in range(1, space.size + 1):
             image = space.act(gamma, (i, y0))
@@ -163,7 +151,7 @@ def _cmd_contract(args) -> int:
     strategy = args.strategy
     if space_name == "fiber" and strategy == "fiber-lift":
         strategy = "axis-power"
-    cert = contract_measure(nu, target, steps, strategy=strategy, seed=scenario.seed)
+    cert = contract_measure(nu, target, steps, strategy=strategy)
     if cert is None:
         print(json.dumps({"verdict": "INCONCLUSIVE", "target_depth": target,
                           "budget_steps": steps}, indent=2, sort_keys=True))

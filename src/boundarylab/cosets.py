@@ -27,6 +27,7 @@ from .words import (
     PermutationGroup,
     Word,
     alphabet,
+    closure,
     compose_perms,
     identity_perm,
     invert_perm,
@@ -34,6 +35,7 @@ from .words import (
     letters_to_str,
     permutation_of,
     reduce_letters,
+    shortlex_bfs,
 )
 
 
@@ -97,9 +99,6 @@ class CosetTable:
         for l in reversed(w.letters):
             c = self.act_letter(l, c)
         return c
-
-    def contains(self, w: Word) -> bool:
-        return self.coset_of(w) == 1
 
     def rep(self, i: int) -> Word:
         return self.transversal[i - 1]
@@ -202,31 +201,18 @@ def _enumerate_free(sub: SubgroupHandle, max_cosets: int) -> CosetTable:
         raise BudgetExceededError(
             f"index {len(live)} exceeds max_cosets={max_cosets}"
         )
-    return _canonicalize(sub, live, lambda u, l: edges[(u, l)])
+    table = _canonicalize(sub, live[0], lambda u, l: edges[(u, l)])
+    if table.size != len(live):
+        raise AssertionError("coset graph is not connected")
+    return table
 
 
 # -- finite ambient: permutation orbits ---------------------------------------
 
 def _perm_closure(perms, cap: int = 1_000_000) -> frozenset:
     ident = identity_perm(len(perms[0])) if perms else ()
-    gens = []
-    for p in perms:
-        gens.append(tuple(p))
-        gens.append(invert_perm(p))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose_perms(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    if len(seen) > cap:
-                        raise BudgetExceededError("subgroup closure exceeds cap")
-                    nxt.append(q)
-        frontier = nxt
-    return frozenset(seen)
+    gens = [tuple(p) for p in perms] + [invert_perm(p) for p in perms]
+    return frozenset(closure(ident, lambda p: (compose_perms(p, g) for g in gens), cap))
 
 
 def _enumerate_perm(sub: SubgroupHandle, max_cosets: int) -> CosetTable:
@@ -241,81 +227,27 @@ def _enumerate_perm(sub: SubgroupHandle, max_cosets: int) -> CosetTable:
     def edge(p, l):
         return compose_perms(letter_perm(ctx, l), p)
 
-    keys = {canon(ident): ident}
-    order = [canon(ident)]
-    layer = [((), ident)]
-    letters = alphabet(ctx)
-    while layer:
-        cands = []
-        for wl, p in layer:
-            for l in letters:
-                if wl and l == -wl[0]:
-                    continue
-                cands.append(((l,) + wl, edge(p, l)))
-        cands.sort(key=lambda item: tuple((abs(x) - 1) * 2 + (x < 0) for x in item[0]))
-        layer = []
-        for wl, q in cands:
-            k = canon(q)
-            if k not in keys:
-                if len(keys) >= max_cosets:
-                    raise BudgetExceededError(
-                        f"index exceeds max_cosets={max_cosets}"
-                    )
-                keys[k] = q
-                order.append(k)
-                layer.append((wl, q))
-
-    index_of = {k: i + 1 for i, k in enumerate(order)}
-
-    def edge_by_key(u_key, l):
-        return index_of[canon(edge(keys[u_key], l))]
-
-    return _canonicalize(sub, order, edge_by_key, index_lookup=index_of)
+    return _canonicalize(
+        sub, canon(ident), lambda k, l: canon(edge(k, l)), max_cosets=max_cosets
+    )
 
 
 # -- shared canonical numbering -----------------------------------------------
 
-def _canonicalize(sub, nodes, edge_fn, index_lookup=None) -> CosetTable:
+def _canonicalize(sub, base, edge_fn, max_cosets=None) -> CosetTable:
     """Renumber cosets by shortlex order of their least representative word.
 
-    ``edge_fn(node, letter)`` returns the target node (raw node ids for the
-    free path, 1-based indices for the permutation path when ``index_lookup``
-    is given).
+    ``edge_fn(node, letter)`` returns the target node; the cosets are the
+    nodes reachable from ``base``, at most ``max_cosets`` of them.
     """
     ctx = sub.ambient
-    letters = alphabet(ctx)
-    base = nodes[0]
-
-    reps: dict = {base: ()}
-    ordered = [base]
-    layer = [((), base)]
-    while layer:
-        cands = []
-        for wl, u in layer:
-            for l in letters:
-                if wl and l == -wl[0]:
-                    continue
-                v = edge_fn(u, l)
-                if index_lookup is not None:
-                    v = nodes[v - 1]
-                cands.append(((l,) + wl, v))
-        cands.sort(key=lambda item: tuple((abs(x) - 1) * 2 + (x < 0) for x in item[0]))
-        layer = []
-        for wl, v in cands:
-            if v not in reps:
-                reps[v] = wl
-                ordered.append(v)
-                layer.append((wl, v))
-    if len(ordered) != len(nodes):
-        raise AssertionError("coset graph is not connected")
+    reps = shortlex_bfs(ctx, base, edge_fn, max_cosets)
+    ordered = list(reps)
 
     num = {node: i + 1 for i, node in enumerate(ordered)}
 
     def target(node, l):
-        v = edge_fn(node, l)
-        if index_lookup is not None:
-            v = nodes[v - 1]
-        return num[v]
+        return num[edge_fn(node, l)]
 
     n = len(ordered)
     fwd = tuple(
@@ -349,10 +281,14 @@ def cocycle(table: CosetTable, gamma: Word, i: int) -> Word:
     """
     if not 1 <= i <= table.size:
         raise ValueError(f"coset index {i} out of range 1..{table.size}")
+    return _cocycle_step(table, gamma, i)[1]
+
+
+def _cocycle_step(table: CosetTable, gamma: Word, i: int) -> tuple[int, Word]:
+    """(j, lam): the coset j of gamma t_i and lam = (gamma t_i)^-1 t_j."""
     gt = gamma * table.rep(i)
     j = table.coset_of(gt)
-    lam = gt.inverse() * table.rep(j)
-    return lam
+    return j, gt.inverse() * table.rep(j)
 
 
 # -- Schreier basis and rewriting ----------------------------------------------

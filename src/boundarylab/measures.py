@@ -58,9 +58,6 @@ class AtomicMeasure:
     def is_dirac(self) -> bool:
         return len(self.atoms) == 1
 
-    def weight_multiset(self) -> tuple:
-        return tuple(sorted((w for _, w in self.atoms), key=float))
-
 
 def atomic_measure(space, pairs) -> AtomicMeasure:
     """Merge duplicate atoms, validate total mass, and sort canonically."""
@@ -178,9 +175,6 @@ class BallFunction:
     radius: int
     values: dict = field(repr=False)
 
-    def sup(self) -> float:
-        return max((abs(v) for v in self.values.values()), default=0.0)
-
     def to_json(self) -> dict:
         items = sorted(self.values.items(), key=lambda kv: kv[0].shortlex_key())
         return {
@@ -197,9 +191,7 @@ def acting_ball(space, radius: int, max_size: int = DEFAULT_BALL_CAP) -> Sequenc
     For a subgroup-acted boundary the ball is taken in the subgroup's own
     generators (its free basis), returned as ambient words.
     """
-    if isinstance(space, InducedSpace):
-        return cached_ball(space.ambient, radius, max_size)
-    if isinstance(space, FiniteSpace):
+    if isinstance(space, (InducedSpace, FiniteSpace)):
         return cached_ball(space.ambient, radius, max_size)
     if space.subgroup_action is None:
         return cached_ball(space.free_ctx, radius, max_size)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
-from typing import Optional
 
 from . import __version__
 from .checks import (
@@ -53,9 +53,25 @@ class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the field."""
 
 
+#: Minimum value of each integer field a check spec may set (None: any integer).
+_CHECK_INT_MINIMUMS = {
+    "depth": 0,
+    "radius": 0,
+    "samples": 1,
+    "max_atoms": 1,
+    "target_depth": 1,
+    "steps": 1,
+    "seed": None,
+}
+
+
 def _require(cond: bool, fieldname: str, message: str) -> None:
     if not cond:
         raise ScenarioError(f"{fieldname}: {message}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -96,7 +112,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("group.kind: must be 'free' or 'permutation'")
 
     subs = data.get("subgroup", [])
-    _require(isinstance(subs, list), "subgroup", "must be a list of word strings")
+    _require(isinstance(subs, list) and all(isinstance(s, str) for s in subs),
+             "subgroup", "must be a list of word strings")
     try:
         sub_words = tuple(parse_word(group, s) for s in subs)
     except ValueError as exc:
@@ -126,6 +143,11 @@ def scenario_from_dict(data: dict) -> Scenario:
                  "must be an object with a 'check' field")
         _require(c["check"] in KNOWN_CHECKS, f"checks[{pos}].check",
                  f"unknown check {c['check']!r}; known: {', '.join(KNOWN_CHECKS)}")
+        for key, low in _CHECK_INT_MINIMUMS.items():
+            if key in c:
+                _require(_is_int(c[key]) and (low is None or c[key] >= low),
+                         f"checks[{pos}].{key}",
+                         "must be an integer" + ("" if low is None else f" >= {low}"))
 
     extensions = data.get("extensions", [])
     _require(isinstance(extensions, list), "extensions", "must be a list")
@@ -133,6 +155,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         for fieldname in ("name", "size", "action", "projection"):
             _require(isinstance(e, dict) and fieldname in e,
                      f"extensions[{pos}].{fieldname}", "missing")
+        _require(_is_int(e["size"]) and e["size"] >= 1, f"extensions[{pos}].size",
+                 "must be an integer >= 1")
+        _require(isinstance(e["projection"], list) and len(e["projection"]) == e["size"],
+                 f"extensions[{pos}].projection", "must be a list of length size")
 
     return Scenario(
         name=data["name"],
@@ -160,37 +186,23 @@ class ScenarioObjects:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self._table: Optional[CosetTable] = None
-        self._basis: Optional[SchreierBasis] = None
-        self._induced: Optional[InducedSpace] = None
-        self._base: Optional[FiniteSpace] = None
 
-    @property
+    @cached_property
     def table(self) -> CosetTable:
-        if self._table is None:
-            handle = subgroup(self.scenario.group, self.scenario.subgroup_words)
-            self._table = enumerate_cosets(
-                handle, max_cosets=self.scenario.budgets["max_cosets"]
-            )
-        return self._table
+        handle = subgroup(self.scenario.group, self.scenario.subgroup_words)
+        return enumerate_cosets(handle, max_cosets=self.scenario.budgets["max_cosets"])
 
-    @property
+    @cached_property
     def base_space(self) -> FiniteSpace:
-        if self._base is None:
-            self._base = FiniteSpace.from_coset_table(self.table)
-        return self._base
+        return FiniteSpace.from_coset_table(self.table)
 
-    @property
+    @cached_property
     def basis(self) -> SchreierBasis:
-        if self._basis is None:
-            self._basis = schreier_basis(self.table)
-        return self._basis
+        return schreier_basis(self.table)
 
-    @property
+    @cached_property
     def induced(self) -> InducedSpace:
-        if self._induced is None:
-            self._induced = induced_space(self.table, self.basis)
-        return self._induced
+        return induced_space(self.table, self.basis)
 
     @property
     def extension(self) -> ExtensionMap:
@@ -209,6 +221,11 @@ class ScenarioObjects:
                     )
                 perms.append(tuple(cand["action"][key]))
             space = FiniteSpace.make(group, cand["size"], perms)
+            n = self.base_space.size
+            if not all(_is_int(v) and 1 <= v <= n for v in cand["projection"]):
+                raise ScenarioError(
+                    f"extensions[{cand['name']}].projection: values must lie in 1..{n}"
+                )
             out.append(
                 {"name": cand["name"], "space": space,
                  "projection": tuple(cand["projection"])}
@@ -218,7 +235,7 @@ class ScenarioObjects:
 
 # -- check dispatch -------------------------------------------------------------------
 
-def _run_check(objs: ScenarioObjects, spec: dict, workers: int) -> CheckReport:
+def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
     scenario = objs.scenario
     name = spec["check"]
     depths, budgets = scenario.depths, scenario.budgets
@@ -244,7 +261,6 @@ def _run_check(objs: ScenarioObjects, spec: dict, workers: int) -> CheckReport:
             target_depth=spec.get("target_depth", depths["target"]),
             budget=spec.get("steps", budgets["steps"]),
             strategy=spec.get("strategy", "fiber-lift"),
-            workers=workers,
         )
     if name == "contraction-lifting":
         return check_contraction_lifting(
@@ -297,11 +313,8 @@ class RunReport:
     def has_fail(self) -> bool:
         return any(e["report"].verdict == FAIL for e in self.checks)
 
-    def has_inconclusive(self) -> bool:
-        return any(e["report"].verdict == "INCONCLUSIVE" for e in self.checks)
 
-
-def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
+def run_scenario(scenario: Scenario) -> RunReport:
     """Execute the declared checks in order; deterministic except wall clocks.
 
     A check that exhausts an enumeration budget is reported INCONCLUSIVE
@@ -314,7 +327,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     for pos, spec in enumerate(scenario.checks, start=1):
         started = time.perf_counter()
         try:
-            report = _run_check(objs, spec, workers)
+            report = _run_check(objs, spec)
         except BudgetExceededError as exc:
             report = CheckReport(
                 check=spec["check"],
@@ -351,16 +364,21 @@ def replay_certificate(report_data: dict, check_id: str, cert_index: int):
     Rebuilds the scenario objects from the report's scenario echo, restores
     the measure and certificate, replays the steps, and compares against the
     stored claim.  Returns (verdict, detail).
+
+    ``check_id`` is a full id such as ``03-sp-extension``, or the part after
+    the ``NN-`` prefix when exactly one check in the report has it.
     """
     scenario = scenario_from_dict(report_data["scenario"])
     objs = ScenarioObjects(scenario)
-    target = None
-    for entry in report_data["checks"]:
-        if entry["id"] == check_id or entry["id"].endswith(check_id):
-            target = entry
-            break
-    if target is None:
-        raise ScenarioError(f"check id {check_id!r} not found in report")
+    entries = report_data["checks"]
+    matches = [e for e in entries if e["id"] == check_id]
+    if not matches:
+        matches = [e for e in entries if e["id"].partition("-")[2] == check_id]
+    if len(matches) != 1:
+        problem = "is ambiguous" if matches else "not found"
+        ids = ", ".join(e["id"] for e in entries)
+        raise ScenarioError(f"check id {check_id!r} {problem} in report; ids: {ids}")
+    target = matches[0]
     evidence = target.get("evidence", [])
     if not 0 <= cert_index < len(evidence):
         raise ScenarioError(

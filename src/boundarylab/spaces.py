@@ -21,7 +21,7 @@ from .cosets import (
     CosetTable,
     SchreierBasis,
     SubgroupHandle,
-    cocycle,
+    _cocycle_step,
     rewrite_in_basis,
 )
 from .words import (
@@ -29,9 +29,12 @@ from .words import (
     PermutationGroup,
     Word,
     alphabet,
+    closure,
     letters_from_str,
     letters_to_str,
     reduce_letters,
+    reduced_layers,
+    shortlex_bfs,
 )
 
 #: Sentinel returned by :func:`common_prefix_depth` for equal points.  Being
@@ -208,52 +211,24 @@ class FiniteSpace:
         return range(1, self.size + 1)
 
     def orbit(self, x: int) -> frozenset:
-        seen = {x}
-        frontier = [x]
         letters = alphabet(self.ambient)
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for l in letters:
-                    q = self.act_letter(l, p)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(closure(x, lambda p: (self.act_letter(l, p) for l in letters)))
 
     def is_transitive(self) -> bool:
         return len(self.orbit(1)) == self.size
 
 
-def stabilizer_subgroup(space: FiniteSpace, x: int, radius: int = 1) -> SubgroupHandle:
+def stabilizer_subgroup(space: FiniteSpace, x: int) -> SubgroupHandle:
     """Generators of the stabilizer of x, from Schreier generators of the orbit.
 
     The orbit transversal makes this a full generating set, so the result is
-    exact; ``radius`` is accepted for interface symmetry and only validated.
+    exact.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
     if not space.is_transitive():
         raise ValueError("stabilizer generators require a transitive space")
     ctx = space.ambient
     letters = alphabet(ctx)
-
-    reps: dict[int, tuple[int, ...]] = {x: ()}
-    layer = [((), x)]
-    while layer:
-        cands = []
-        for wl, p in layer:
-            for l in letters:
-                if wl and l == -wl[0]:
-                    continue
-                cands.append(((l,) + wl, space.act_letter(l, p)))
-        cands.sort(key=lambda item: tuple((abs(v) - 1) * 2 + (v < 0) for v in item[0]))
-        layer = []
-        for wl, q in cands:
-            if q not in reps:
-                reps[q] = wl
-                layer.append((wl, q))
+    reps = shortlex_bfs(ctx, x, lambda p, l: space.act_letter(l, p))
 
     gens: list[Word] = []
     seen = set()
@@ -291,12 +266,6 @@ class BoundarySpace:
     def free_ctx(self) -> FreeGroup:
         return FreeGroup(self.rank)
 
-    @property
-    def acting_ctx(self):
-        if self.subgroup_action is None:
-            return self.free_ctx
-        return self.subgroup_action[0].ambient
-
     def acting_letters(self, g: Word) -> tuple[int, ...]:
         """Resolve an acting word into rank-r letters (rewriting if needed)."""
         if self.subgroup_action is None:
@@ -311,22 +280,7 @@ class BoundarySpace:
 
     def cylinders(self, depth: int) -> list[tuple[int, ...]]:
         """All reduced depth-d prefixes (the depth-d cylinder names)."""
-        if depth == 0:
-            return [()]
-        out: list[tuple[int, ...]] = []
-        frontier: list[tuple[int, ...]] = [()]
-        letters = alphabet(self.free_ctx)
-        for _ in range(depth):
-            nxt = []
-            for ls in frontier:
-                last = ls[-1] if ls else 0
-                for l in letters:
-                    if l == -last:
-                        continue
-                    nxt.append(ls + (l,))
-            frontier = nxt
-        out.extend(frontier)
-        return out
+        return list(reduced_layers(self.free_ctx, depth))[-1]
 
 
 # -- induced spaces ----------------------------------------------------------------
@@ -355,9 +309,7 @@ class InducedSpace:
 
     def act(self, gamma: Word, point) -> tuple:
         i, y = point
-        gt = gamma * self.table.rep(i)
-        j = self.table.coset_of(gt)
-        lam = gt.inverse() * self.table.rep(j)
+        j, lam = _cocycle_step(self.table, gamma, i)
         if not self.fiber_action_enabled:
             return (j, y)
         lam_inv = lam.inverse()
@@ -365,11 +317,6 @@ class InducedSpace:
             letters = rewrite_in_basis(self.table, self.basis, lam_inv).letters
             return (j, boundary_act(letters, y))
         return (j, self.fiber.act(lam_inv, y))
-
-    def fiber_letters(self, gamma: Word, i: int) -> tuple[int, ...]:
-        """Rank-r letters by which gamma moves the fiber over coset i."""
-        lam = cocycle(self.table, gamma, i)
-        return rewrite_in_basis(self.table, self.basis, lam.inverse()).letters
 
 
 def induced_space(table: CosetTable, basis: SchreierBasis) -> InducedSpace:
@@ -418,12 +365,6 @@ class ExtensionMap:
         if self.point_map is None:
             return p[0]
         return self.point_map[p - 1]
-
-    def act_source(self, gamma: Word, p):
-        return self.source.act(gamma, p)
-
-    def act_target(self, gamma: Word, x: int) -> int:
-        return self.target.act(gamma, x)
 
 
 def induced_extension(space: InducedSpace) -> ExtensionMap:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_BALL_CAP = 1_000_000
 
@@ -119,10 +119,6 @@ class Word:
             out = out * self
         return out
 
-    def conjugated_by(self, t: "Word") -> "Word":
-        """t * self * t^-1."""
-        return t * self * t.inverse()
-
     def to_str(self) -> str:
         return letters_to_str(self.letters)
 
@@ -152,6 +148,53 @@ def generator(ctx, index: int) -> Word:
 def _letter_rank(l: int) -> int:
     # a < A < b < B < ...: positive letter sorts just before its inverse
     return (abs(l) - 1) * 2 + (0 if l > 0 else 1)
+
+
+def shortlex_bfs(ctx, base, step, max_nodes: Optional[int] = None) -> dict:
+    """The shortlex-least reduced word reaching each node from ``base``.
+
+    ``step(node, l)`` is the node reached by prepending letter ``l`` (the
+    left action), so words grow at the front.  The returned dict maps node to
+    letters and is ordered by discovery, which is shortlex order of the
+    words.  Raises :class:`BudgetExceededError` when more than ``max_nodes``
+    nodes are reached.
+    """
+    letters = alphabet(ctx)
+    reps = {base: ()}
+    layer = [((), base)]
+    while layer:
+        cands = []
+        for wl, u in layer:
+            for l in letters:
+                if wl and l == -wl[0]:
+                    continue
+                cands.append(((l,) + wl, step(u, l)))
+        cands.sort(key=lambda item: tuple(map(_letter_rank, item[0])))
+        layer = []
+        for wl, v in cands:
+            if v not in reps:
+                if max_nodes is not None and len(reps) >= max_nodes:
+                    raise BudgetExceededError(f"index exceeds max_cosets={max_nodes}")
+                reps[v] = wl
+                layer.append((wl, v))
+    return reps
+
+
+def closure(start, neighbours, cap: Optional[int] = None) -> set:
+    """Every node reachable from ``start`` through ``neighbours(node)``.
+
+    Raises :class:`BudgetExceededError` when more than ``cap`` nodes are found.
+    """
+    seen = {start}
+    todo = [start]
+    while todo:
+        for v in neighbours(todo.pop()):
+            if v not in seen:
+                seen.add(v)
+                if cap is not None and len(seen) > cap:
+                    raise BudgetExceededError(f"closure exceeds cap {cap}")
+                todo.append(v)
+    return seen
 
 
 def alphabet(ctx) -> tuple[int, ...]:
@@ -241,24 +284,25 @@ def ball(ctx, radius: int, max_size: int = DEFAULT_BALL_CAP) -> tuple[Word, ...]
     return _perm_ball(ctx, radius, max_size)
 
 
-def _free_ball(ctx: FreeGroup, radius: int, max_size: int) -> tuple[Word, ...]:
-    words: list[Word] = [Word(ctx, ())]
-    frontier: list[tuple[int, ...]] = [()]
+def reduced_layers(ctx: FreeGroup, radius: int) -> Iterator[list[tuple[int, ...]]]:
+    """Yield the reduced letter tuples of length 0, 1, .., radius, one list
+    per length, each in shortlex order."""
     letters = alphabet(ctx)
+    layer: list[tuple[int, ...]] = [()]
+    yield layer
     for _ in range(radius):
-        nxt = []
-        for ls in frontier:
-            last = ls[-1] if ls else 0
-            for l in letters:
-                if l == -last:
-                    continue
-                nxt.append(ls + (l,))
-        if len(words) + len(nxt) > max_size:
+        layer = [ls + (l,) for ls in layer for l in letters if not ls or l != -ls[-1]]
+        yield layer
+
+
+def _free_ball(ctx: FreeGroup, radius: int, max_size: int) -> tuple[Word, ...]:
+    words: list[Word] = []
+    for layer in reduced_layers(ctx, radius):
+        if len(words) + len(layer) > max_size:
             raise BudgetExceededError(
                 f"ball of radius {radius} exceeds cap {max_size}"
             )
-        frontier = nxt
-        words.extend(Word(ctx, ls) for ls in frontier)
+        words.extend(Word(ctx, ls) for ls in layer)
     return tuple(words)
 
 

@@ -8,10 +8,12 @@ Each is paired with a passing test of the corrected identity.  See the
 inline notes on criteria 1 and 2b.
 """
 
+import hashlib
 import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -481,16 +483,22 @@ def test_criterion_09_isometry_defect_bridge():
 
 
 def test_criterion_10_bundled_scenarios_deterministic():
+    # SHA-256 of each bundled report without timing, pinned so that a
+    # refactor cannot change report bytes unnoticed
+    golden = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
+    assert sorted(golden) == bundled_scenario_names()
     started = time.perf_counter()
     for name in bundled_scenario_names():
         scenario = load_bundled_scenario(name)
         first = report_json_text(run_scenario(scenario), include_timing=False)
         second = report_json_text(run_scenario(scenario), include_timing=False)
         assert first == second, f"scenario {name} is not byte-deterministic"
+        digest = hashlib.sha256(first.encode("utf-8")).hexdigest()
+        assert digest == golden[name], f"scenario {name} report bytes changed"
         data = json.loads(first)
         assert all(c["verdict"] != "FAIL" for c in data["checks"])
     assert _verdict(
-        "criterion 10 (bundled scenarios byte-identical across runs)", True,
+        "criterion 10 (bundled scenarios byte-identical across runs and to golden digests)", True,
         f"{len(bundled_scenario_names())} scenarios x 2 runs "
         f"[{time.perf_counter() - started:.1f}s]",
     )

@@ -242,14 +242,6 @@ def test_sp_extension_tiny_budget_inconclusive(index2_phi):
     assert report.verdict == "INCONCLUSIVE"
 
 
-def test_sp_extension_workers_deterministic(index2_phi):
-    r1 = check_sp_extension(index2_phi, max_atoms=4, samples=8, seed=9,
-                            target_depth=10, budget=64, workers=1)
-    r2 = check_sp_extension(index2_phi, max_atoms=4, samples=8, seed=9,
-                            target_depth=10, budget=64, workers=4)
-    assert r1.evidence == r2.evidence
-
-
 def test_sp_extension_identity_finite(s3_space):
     phi = ExtensionMap(s3_space, s3_space, tuple(s3_space.points()))
     report = check_sp_extension(phi)

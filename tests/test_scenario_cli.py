@@ -91,6 +91,22 @@ def test_replay_certificate_from_report_and_tamper():
         replay_certificate(data, "02-sp-extension", 10_000)
 
 
+def test_replay_certificate_id_must_be_exact_or_unique():
+    spec = {"check": "sp-extension", "samples": 2, "target_depth": 6}
+    scenario = scenario_from_dict({**SMALL_SCENARIO, "checks": [spec, spec]})
+    data = json.loads(report_json_text(run_scenario(scenario)))
+    assert [c["id"] for c in data["checks"]] == ["01-sp-extension", "02-sp-extension"]
+    for check_id in ("01-sp-extension", "02-sp-extension"):
+        assert replay_certificate(data, check_id, 0)[0] == "PASS"
+    with pytest.raises(ScenarioError, match="ambiguous.*01-sp-extension, 02-sp-extension"):
+        replay_certificate(data, "sp-extension", 0)
+    with pytest.raises(ScenarioError, match="not found.*01-sp-extension"):
+        replay_certificate(data, "extension", 0)
+    single = json.loads(report_json_text(run_scenario(scenario_from_dict(
+        {**SMALL_SCENARIO, "checks": [spec]}))))
+    assert replay_certificate(single, "sp-extension", 0)[0] == "PASS"
+
+
 def test_budget_exceeded_surfaces_as_inconclusive(capsys):
     scenario = scenario_from_dict({
         **SMALL_SCENARIO,
@@ -141,6 +157,47 @@ def test_cli_validation_error(tmp_path, capsys):
                                "checks": [{"check": "minimal-finite"}]}))
     assert main(["run", str(bad)]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+S3_SCENARIO = {
+    "name": "s3-tiny",
+    "group": {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
+    "subgroup": ["a"],
+    "seed": 5,
+    "checks": [{"check": "amenable-size"}],
+    "extensions": [
+        {"name": "cover", "size": 6,
+         "action": {"a": [1, 3, 2, 4, 6, 5], "b": [2, 3, 1, 5, 6, 4]},
+         "projection": [1, 2, 3, 1, 2, 3]},
+    ],
+}
+
+
+def _with_extension(**changes):
+    return {**S3_SCENARIO, "extensions": [{**S3_SCENARIO["extensions"][0], **changes}]}
+
+
+@pytest.mark.parametrize("scenario, fieldname", [
+    ({**SMALL_SCENARIO, "subgroup": [1, "b"]}, "subgroup"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "minimal-symbolic", "radius": "4"}]},
+     "checks[0].radius"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "sp-extension", "samples": "3"}]},
+     "checks[0].samples"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "sp-extension", "max_atoms": True}]},
+     "checks[0].max_atoms"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "sp-extension", "target_depth": 0}]},
+     "checks[0].target_depth"),
+    (_with_extension(projection=[1, 2, 3]), "extensions[0].projection"),
+    (_with_extension(size="6"), "extensions[0].size"),
+    (_with_extension(projection=[1, 2, 3, 1, 2, 4]), "extensions[cover].projection"),
+])
+def test_cli_malformed_field_exits_2(tmp_path, capsys, scenario, fieldname):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert fieldname in err
+    assert "Traceback" not in err
 
 
 def test_cli_usage_error():

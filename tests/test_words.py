@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boundarylab import (
+    BoundarySpace,
     BudgetExceededError,
     FreeGroup,
     PermutationGroup,
@@ -124,6 +125,9 @@ def test_ball_sizes_free():
     for rank in (2, 3):
         for radius in range(4):
             assert len(ball(FreeGroup(rank), radius)) == free_ball_size(rank, radius)
+        for depth in range(5):
+            sphere = [w.letters for w in ball(FreeGroup(rank), depth) if len(w) == depth]
+            assert BoundarySpace(rank).cylinders(depth) == sphere
 
 
 def test_ball_is_shortlex_sorted_and_reduced():
