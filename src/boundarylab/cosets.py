@@ -23,7 +23,6 @@ Conventions (used consistently across the package):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .words import (
@@ -152,53 +151,52 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _merge(parent: list[int], edges: dict, a: int, b: int) -> None:
-    """Identify two vertices and fold the edge relation until functional."""
-    pending = deque([(a, b)])
+def _fold(parent: list[int], adj: list, a: int, b: int) -> None:
+    """Identify two vertices and fold until the labelling is functional.
+
+    Union-find over ``parent``; ``adj[u]`` maps letter to a vertex in the
+    class of u's neighbour.  The vertex with fewer edges is absorbed, its
+    clashing targets are queued for identification, and its dict dropped.
+    """
+    pending = [(a, b)]
     while pending:
-        x, y = pending.popleft()
+        x, y = pending.pop()
         x, y = _find(parent, x), _find(parent, y)
         if x == y:
             continue
-        if y < x:
+        if len(adj[x]) < len(adj[y]):
             x, y = y, x
         parent[y] = x
-        rewritten: dict = {}
-        for (u, l), v in edges.items():
-            u = _find(parent, u)
-            v = _find(parent, v)
-            prev = rewritten.get((u, l))
-            if prev is None:
-                rewritten[(u, l)] = v
-            elif prev != v:
-                pending.append((prev, v))
-        edges.clear()
-        edges.update(rewritten)
+        into = adj[x]
+        for l, v in adj[y].items():
+            w = into.setdefault(l, v)
+            if w != v:
+                pending.append((w, v))
+        adj[y] = None
 
 
 def _enumerate_free(sub: SubgroupHandle, max_cosets: int) -> CosetTable:
     ctx = sub.ambient
     parent = [0]
-    edges: dict = {}
+    adj: list = [{}]
 
     for h in sub.generators:
         cur = _find(parent, 0)
         for l in reversed(h.letters):
-            cur = _find(parent, cur)
-            nxt = edges.get((cur, l))
+            nxt = adj[cur].get(l)
             if nxt is None:
                 nxt = len(parent)
                 parent.append(nxt)
-                edges[(cur, l)] = nxt
-                edges[(nxt, -l)] = cur
+                adj.append({-l: cur})
+                adj[cur][l] = nxt
             cur = _find(parent, nxt)
-        _merge(parent, edges, cur, 0)
+        _fold(parent, adj, cur, 0)
 
-    live = sorted({_find(parent, i) for i in range(len(parent))})
+    live = [u for u, p in enumerate(parent) if p == u]
     letters = alphabet(ctx)
     for u in live:
         for l in letters:
-            if (u, l) not in edges:
+            if l not in adj[u]:
                 raise InfiniteIndexError(
                     "coset graph did not close: the subgroup has infinite index"
                 )
@@ -206,7 +204,9 @@ def _enumerate_free(sub: SubgroupHandle, max_cosets: int) -> CosetTable:
         raise BudgetExceededError(
             f"index {len(live)} exceeds max_cosets={max_cosets}"
         )
-    table = _canonicalize(sub, live[0], lambda u, l: edges[(u, l)])
+    table = _canonicalize(
+        sub, _find(parent, 0), lambda u, l: _find(parent, adj[u][l])
+    )
     if table.size != len(live):
         raise AssertionError("coset graph is not connected")
     return table

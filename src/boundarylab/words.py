@@ -3,7 +3,8 @@
 Group elements are carried everywhere as freely reduced words.  A letter is a
 nonzero integer: ``+i`` is the i-th generator (1-based), ``-i`` its inverse.
 Words serialize as strings over ``a``..``z``, uppercase meaning inverse, so
-``"abA"`` is a.b.a^-1 and ``""`` is the identity.
+``"abA"`` is a.b.a^-1 and ``""`` is the identity; generator indices above 26
+are written ``{27}`` / ``{-27}``.
 
 Two ambient kinds exist: :class:`FreeGroup` (exact word arithmetic is the
 whole story) and :class:`PermutationGroup` (words additionally evaluate to
@@ -13,6 +14,7 @@ to the same permutation).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -20,6 +22,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 DEFAULT_BALL_CAP = 1_000_000
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
+# one serialized letter: a {n} / {-n} token or a single character
+_TOKEN = re.compile(r"\{(-?[1-9][0-9]*)\}|(.)", re.DOTALL)
 
 
 class BudgetExceededError(RuntimeError):
@@ -163,20 +167,20 @@ def shortlex_bfs(ctx, base, step, max_nodes: Optional[int] = None) -> dict:
     reps = {base: ()}
     layer = [((), base)]
     while layer:
-        cands = []
-        for wl, u in layer:
-            for l in letters:
+        # with the layer in shortlex order, letter-major order visits the
+        # words l + w of the next length in shortlex order too
+        nxt = []
+        for l in letters:
+            for wl, u in layer:
                 if wl and l == -wl[0]:
                     continue
-                cands.append(((l,) + wl, step(u, l)))
-        cands.sort(key=lambda item: tuple(map(_letter_rank, item[0])))
-        layer = []
-        for wl, v in cands:
-            if v not in reps:
-                if max_nodes is not None and len(reps) >= max_nodes:
-                    raise BudgetExceededError(f"index exceeds max_cosets={max_nodes}")
-                reps[v] = wl
-                layer.append((wl, v))
+                v = step(u, l)
+                if v not in reps:
+                    if max_nodes is not None and len(reps) >= max_nodes:
+                        raise BudgetExceededError(f"index exceeds max_cosets={max_nodes}")
+                    reps[v] = wv = (l,) + wl
+                    nxt.append((wv, v))
+        layer = nxt
     return reps
 
 
@@ -206,18 +210,32 @@ def alphabet(ctx) -> tuple[int, ...]:
 
 
 def letters_to_str(letters: Sequence[int]) -> str:
+    """Serialize letters: ``a``..``z`` for generators 1..26, uppercase for
+    their inverses, and the tokens ``{n}`` / ``{-n}`` for a generator index
+    ``n`` above 26 and its inverse (``(27, -1, -30)`` is ``"{27}A{-30}"``)."""
     chars = []
     for l in letters:
         if abs(l) > 26:
-            raise ValueError("string serialization supports generator indices up to 26")
+            chars.append(f"{{{l}}}")
+            continue
         c = _LOWER[abs(l) - 1]
         chars.append(c if l > 0 else c.upper())
     return "".join(chars)
 
 
 def letters_from_str(s: str) -> tuple[int, ...]:
+    """Inverse of :func:`letters_to_str`; raises ValueError on anything else,
+    including a ``{n}`` token for an index that has a letter (``n <= 26``)."""
     letters = []
-    for c in s:
+    for m in _TOKEN.finditer(s):
+        number, c = m.groups()
+        if number is not None:
+            idx = int(number)
+            if abs(idx) <= 26:
+                raise ValueError(f"invalid letter token {m.group()!r}: "
+                                 "generator indices up to 26 are written as letters")
+            letters.append(idx)
+            continue
         low = c.lower()
         if low not in _LOWER:
             raise ValueError(f"invalid word character {c!r}")

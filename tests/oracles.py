@@ -1,0 +1,91 @@
+"""Simple reference implementations that the fast paths are tested against.
+
+Each function here is the straightforward version a faster one in ``src/``
+replaced; the property tests assert that both give identical results.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from boundarylab.cosets import InfiniteIndexError, _canonicalize, _find
+from boundarylab.words import BudgetExceededError, _letter_rank, alphabet
+
+
+def merge_fold_enumerate(sub, max_cosets):
+    """Free-group coset enumeration by trace-and-fold, rebuilding the whole
+    edge dict on every identification (cubic in the index)."""
+    parent = [0]
+    edges: dict = {}
+
+    def merge(a, b):
+        pending = deque([(a, b)])
+        while pending:
+            x, y = pending.popleft()
+            x, y = _find(parent, x), _find(parent, y)
+            if x == y:
+                continue
+            if y < x:
+                x, y = y, x
+            parent[y] = x
+            rewritten: dict = {}
+            for (u, l), v in edges.items():
+                u = _find(parent, u)
+                v = _find(parent, v)
+                prev = rewritten.get((u, l))
+                if prev is None:
+                    rewritten[(u, l)] = v
+                elif prev != v:
+                    pending.append((prev, v))
+            edges.clear()
+            edges.update(rewritten)
+
+    for h in sub.generators:
+        cur = _find(parent, 0)
+        for l in reversed(h.letters):
+            cur = _find(parent, cur)
+            nxt = edges.get((cur, l))
+            if nxt is None:
+                nxt = len(parent)
+                parent.append(nxt)
+                edges[(cur, l)] = nxt
+                edges[(nxt, -l)] = cur
+            cur = _find(parent, nxt)
+        merge(cur, 0)
+
+    live = sorted({_find(parent, i) for i in range(len(parent))})
+    for u in live:
+        for l in alphabet(sub.ambient):
+            if (u, l) not in edges:
+                raise InfiniteIndexError(
+                    "coset graph did not close: the subgroup has infinite index"
+                )
+    if len(live) > max_cosets:
+        raise BudgetExceededError(f"index {len(live)} exceeds max_cosets={max_cosets}")
+    table = _canonicalize(sub, live[0], lambda u, l: edges[(u, l)])
+    if table.size != len(live):
+        raise AssertionError("coset graph is not connected")
+    return table
+
+
+def sorted_shortlex_bfs(ctx, base, step, max_nodes=None):
+    """Shortlex BFS that builds every candidate word of a layer and sorts them."""
+    letters = alphabet(ctx)
+    reps = {base: ()}
+    layer = [((), base)]
+    while layer:
+        cands = []
+        for wl, u in layer:
+            for l in letters:
+                if wl and l == -wl[0]:
+                    continue
+                cands.append(((l,) + wl, step(u, l)))
+        cands.sort(key=lambda item: tuple(map(_letter_rank, item[0])))
+        layer = []
+        for wl, v in cands:
+            if v not in reps:
+                if max_nodes is not None and len(reps) >= max_nodes:
+                    raise BudgetExceededError(f"index exceeds max_cosets={max_nodes}")
+                reps[v] = wl
+                layer.append((wl, v))
+    return reps

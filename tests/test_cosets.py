@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import merge_fold_enumerate
 
 from boundarylab import (
     BudgetExceededError,
@@ -24,7 +25,7 @@ from boundarylab import (
     subgroup,
     word,
 )
-from boundarylab.words import ball, cached_ball
+from boundarylab.words import alphabet, ball, cached_ball, reduce_letters
 
 F2 = FreeGroup(2)
 
@@ -95,6 +96,73 @@ def test_infinite_index_detected():
 def test_budget_exhausted(index2_table):
     with pytest.raises(BudgetExceededError):
         enumerate_cosets(index2_table.subgroup, max_cosets=1)
+
+
+def test_kernel_index_512():
+    # kernel of F2 -> Z/512, a -> 1, b -> 0: a^512 and the conjugates a^-i b a^i
+    n = 512
+    conjugates = [word(F2, (-1,) * i + (2,) + (1,) * i) for i in range(n)]
+    table = enumerate_cosets(subgroup(F2, [word(F2, (1,) * n)] + conjugates))
+    assert table.size == n
+    assert schreier_basis(table).rank == n + 1
+    with pytest.raises(InfiniteIndexError):
+        enumerate_cosets(subgroup(F2, conjugates))
+
+
+@st.composite
+def generator_sets(draw):
+    """(subgroup, max_cosets): the stabilizer of point 0 under a random action
+    of F_k on at most 6 points (Schreier generators, finite index), as is, with
+    random words added, with generators dropped (often infinite index), or
+    random words only; max_cosets is sometimes below the orbit size."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ctx = FreeGroup(rng.randint(1, 3))
+    m = rng.randint(1, 6)
+    perms = [rng.sample(range(m), m) for _ in range(ctx.rank)]
+
+    def act(l, i):
+        return perms[l - 1][i] if l > 0 else perms[-l - 1].index(i)
+
+    reps = {0: ()}
+    orbit = [0]
+    for i in orbit:  # BFS over the orbit of point 0; reps[i] sends 0 to i
+        for l in alphabet(ctx):
+            j = act(l, i)
+            if j not in reps:
+                reps[j] = (l,) + reps[i]
+                orbit.append(j)
+    gens = [
+        reduce_letters(tuple(-l for l in reversed(reps[act(x, i)])) + (x,) + reps[i])
+        for i in orbit
+        for x in range(1, ctx.rank + 1)
+    ]
+    mode = rng.choice(("stabilizer", "extended", "dropped", "random"))
+    if mode == "dropped":
+        gens = rng.sample(gens, max(0, len(gens) - rng.randint(1, 2)))
+    elif mode == "random":
+        gens = []
+    if mode in ("extended", "random"):
+        for _ in range(rng.randint(1, 3)):
+            gens.append([rng.choice(alphabet(ctx)) for _ in range(rng.randint(1, 12))])
+    max_cosets = rng.choice((1024, rng.randint(1, max(1, len(orbit) - 1))))
+    return subgroup(ctx, [word(ctx, g) for g in gens]), max_cosets
+
+
+def _fold_outcome(enumerate_fn, sub, max_cosets):
+    try:
+        table = enumerate_fn(sub, max_cosets)
+    except (InfiniteIndexError, BudgetExceededError) as exc:
+        return type(exc)
+    return table.fwd, table.inv, table.transversal
+
+
+@settings(max_examples=300)
+@given(generator_sets())
+def test_fold_matches_merge_oracle(case):
+    sub, max_cosets = case
+    assert _fold_outcome(enumerate_cosets, sub, max_cosets) == _fold_outcome(
+        merge_fold_enumerate, sub, max_cosets
+    )
 
 
 def test_table_export_format(index2_table):

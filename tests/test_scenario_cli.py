@@ -243,6 +243,31 @@ def test_cli_replay_roundtrip(tiny_path, tmp_path, capsys):
                  "--cert", str(idx)]) == 1
 
 
+def test_cli_high_index_kernel_scenario(tmp_path, capsys):
+    # kernel of F2 -> Z/30: Schreier rank 31, so fiber letters above 26 are
+    # serialized as {n} tokens in the report and parsed back on replay
+    n = 30
+    scenario = {
+        "name": "f2-kernel-z30",
+        "group": {"kind": "free", "rank": 2},
+        "subgroup": ["a" * n] + ["A" * i + "b" + "a" * i for i in range(n)],
+        "depths": {"cylinder": 1, "target": 6},
+        "budgets": {"ball_radius": 2, "steps": 16, "samples": 2, "max_cosets": 64},
+        "seed": 5,
+        "checks": [{"check": "sp-extension", "samples": 2, "max_atoms": 2,
+                    "target_depth": 6}],
+    }
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    measure = json.loads(out.read_text())["checks"][0]["evidence"][0]["measure"]
+    assert any("{" in atom["point"] for atom in measure)
+    capsys.readouterr()
+    assert main(["replay", str(out), "--check", "sp-extension", "--cert", "0"]) == 0
+    assert '"verdict": "PASS"' in capsys.readouterr().out
+
+
 def test_cli_enumerate_cosets(tiny_path, capsys):
     assert main(["enumerate-cosets", tiny_path]) == 0
     data = json.loads(capsys.readouterr().out)

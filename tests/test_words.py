@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sorted_shortlex_bfs
 
 from boundarylab import (
     BoundarySpace,
@@ -16,12 +17,14 @@ from boundarylab import (
     word,
 )
 from boundarylab.words import (
+    alphabet,
     compose_perms,
     free_ball_size,
     identity_perm,
     letters_from_str,
     letters_to_str,
     reduce_letters,
+    shortlex_bfs,
 )
 
 F2 = FreeGroup(2)
@@ -188,6 +191,50 @@ def test_string_format():
     assert letters_to_str(()) == ""
     with pytest.raises(ValueError):
         letters_from_str("a1")
+    assert letters_to_str((26, -26, 27, -1, -30)) == "zZ{27}A{-30}"
+    assert letters_from_str("zZ{27}A{-30}") == (26, -26, 27, -1, -30)
+    for bad in ("{", "{}", "{0}", "{-0}", "{26}", "{-5}", "{027}", "{+27}",
+                "{27", "27}", "{ 27}", "{27}}", "{a}"):
+        with pytest.raises(ValueError):
+            letters_from_str(bad)
+
+
+@given(st.lists(st.integers(1, 40).flatmap(lambda i: st.sampled_from((i, -i))), max_size=12))
+def test_string_round_trip_any_index(ls):
+    s = letters_to_str(ls)
+    assert letters_from_str(s) == tuple(ls)
+    # indices up to 26 keep their one-character form
+    small = [l for l in ls if abs(l) <= 26]
+    assert letters_to_str(small) == "".join(
+        chr(ord("a") + l - 1) if l > 0 else chr(ord("A") - l - 1) for l in small
+    )
+
+
+@st.composite
+def functional_graphs(draw):
+    """(ctx, step, max_nodes): a random map node x letter -> node on at most
+    12 nodes, with a node budget on either side of the reachable count."""
+    ctx = FreeGroup(draw(st.integers(1, 3)))
+    n = draw(st.integers(1, 12))
+    targets = {
+        l: draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        for l in alphabet(ctx)
+    }
+    max_nodes = draw(st.one_of(st.none(), st.integers(1, n + 1)))
+    return ctx, lambda u, l: targets[l][u], max_nodes
+
+
+def _bfs_outcome(bfs, ctx, step, max_nodes):
+    try:
+        return list(bfs(ctx, 0, step, max_nodes).items())
+    except BudgetExceededError as exc:
+        return BudgetExceededError, str(exc)
+
+
+@settings(max_examples=300)
+@given(functional_graphs())
+def test_shortlex_bfs_matches_sorting_oracle(graph):
+    assert _bfs_outcome(shortlex_bfs, *graph) == _bfs_outcome(sorted_shortlex_bfs, *graph)
 
 
 def test_perm_group_validation():
