@@ -19,11 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cosets import (
-    conjugate_subgroup,
-    enumerate_cosets,
-    eval_in_ambient,
-)
+from .cosets import conjugate_subgroup, enumerate_cosets
 from .measures import (
     AtomicMeasure,
     acting_ball,
@@ -53,13 +49,28 @@ from .words import (
     alphabet,
     cached_ball,
     closure,
+    is_int,
+    letters_from_str,
     letters_to_str,
+    parse_word,
     reduce_letters,
 )
 
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+GREEDY_STEP_RADIUS = 2  # radius of the ball the greedy-ball strategy searches
+COVERAGE_BALL_CAP = 200_000  # most ball words symbolic coverage enumerates
+LIFTING_COVERAGE_SAMPLES = 5  # coverage starts behind contraction-lifting
+WALK_LEN = 8  # longest random walk behind a sampled boundary point
+MAX_DENOM = 64  # sampled weights are proportional to draws from 1..MAX_DENOM
+
+
+def _verdict(failed: bool, inconclusive: bool) -> str:
+    if failed:
+        return FAIL
+    return INCONCLUSIVE if inconclusive else PASS
 
 
 @dataclass
@@ -143,6 +154,25 @@ class ContractionCertificate:
             "limit_cylinder": letters_to_str(self.limit_cylinder),
         }
 
+    @classmethod
+    def from_json(cls, ctx, data) -> "ContractionCertificate":
+        """Inverse of :meth:`to_json`, with steps parsed as words over ctx."""
+        if not isinstance(data, dict):
+            raise ValueError("certificate: must be an object")
+        steps = data.get("steps")
+        if not (isinstance(steps, list) and all(isinstance(w, str) for w in steps)):
+            raise ValueError("certificate.steps: must be a list of word strings")
+        if not is_int(data.get("achieved_depth")):
+            raise ValueError("certificate.achieved_depth: must be an integer")
+        if not isinstance(data.get("limit_cylinder"), str):
+            raise ValueError("certificate.limit_cylinder: must be a word string")
+        return cls(
+            tuple(parse_word(ctx, w) for w in steps),
+            data["achieved_depth"],
+            data.get("limit_coset"),
+            letters_from_str(data["limit_cylinder"]),
+        )
+
 
 def replay(nu: AtomicMeasure, cert: ContractionCertificate):
     """Re-run the steps and check the certificate's claim.
@@ -216,7 +246,6 @@ def contract_measure(
     target_depth: int,
     budget: int,
     strategy: str = "axis-power",
-    step_radius: int = 2,
 ) -> Optional[ContractionCertificate]:
     """Search for a certificate concentrating nu to the target cylinder depth.
 
@@ -228,8 +257,9 @@ def contract_measure(
       the fiber measure with axis-power in the fiber free group, then lift
       every step lam to t_i lam t_i^-1, which fixes the coset and replays the
       fiber motion exactly.
-    * ``greedy-ball``: repeatedly apply the ball element that most increases
-      the concentration depth (shortlex tie-break); may stall.
+    * ``greedy-ball``: repeatedly apply the radius-``GREEDY_STEP_RADIUS`` ball
+      element that most increases the concentration depth (shortlex
+      tie-break); may stall.
 
     The strategy only finds the steps; the certificate's claim is read off
     the measure pushed through them, as :func:`replay` does.  Returns None
@@ -252,7 +282,7 @@ def contract_measure(
     elif strategy == "fiber-lift":
         steps = _contract_fiber_lift(nu, target_depth, budget)
     elif strategy == "greedy-ball":
-        steps = _contract_greedy(nu, target_depth, budget, step_radius)
+        steps = _contract_greedy(nu, target_depth, budget)
     else:
         raise ValueError(f"unknown contraction strategy {strategy!r}")
     if steps is None:
@@ -269,14 +299,7 @@ def _contract_axis_boundary(nu, target, budget):
     space = nu.space
     if not isinstance(space, BoundarySpace):
         raise ValueError("axis-power strategy expects a boundary-space measure")
-    pts = [p for p, _ in nu.atoms]
-    fsteps = _axis_power_steps(pts, space.rank, target, budget)
-    if fsteps is None:
-        return None
-    if space.subgroup_action is not None:
-        _, basis = space.subgroup_action
-        return [eval_in_ambient(basis, w) for w in fsteps]
-    return fsteps
+    return _axis_power_steps([p for p, _ in nu.atoms], space.rank, target, budget)
 
 
 def _contract_fiber_lift(nu, target, budget):
@@ -291,13 +314,11 @@ def _contract_fiber_lift(nu, target, budget):
     fsteps = _axis_power_steps(fiber_pts, space.fiber.rank, target, budget)
     if fsteps is None:
         return None
-    t = space.table.rep(i)
-    tinv = t.inverse()
-    return [t * eval_in_ambient(space.basis, w) * tinv for w in fsteps]
+    return [space.lift(i, w) for w in fsteps]
 
 
-def _contract_greedy(nu, target, budget, step_radius):
-    candidates = [w for w in acting_ball(nu.space, step_radius) if not w.is_identity]
+def _contract_greedy(nu, target, budget):
+    candidates = [w for w in acting_ball(nu.space, GREEDY_STEP_RADIUS) if not w.is_identity]
     cur = nu
     steps: list[Word] = []
     while True:
@@ -380,7 +401,7 @@ def random_walk_letters(rng: random.Random, rank: int, max_len: int) -> tuple[in
     return tuple(letters)
 
 
-def sample_boundary_point(rng: random.Random, rank: int, walk_len: int = 8) -> BoundaryPoint:
+def sample_boundary_point(rng: random.Random, rank: int, walk_len: int = WALK_LEN) -> BoundaryPoint:
     base = boundary_point((), (1,))
     return boundary_act(random_walk_letters(rng, rank, walk_len), base)
 
@@ -397,46 +418,35 @@ def _distinct_draws(natoms: int, draw) -> list:
     return pts
 
 
-def _random_weights(space, pts, rng: random.Random, max_denom: int) -> AtomicMeasure:
-    """The measure on pts with weights proportional to draws from 1..max_denom."""
-    nums = [rng.randint(1, max_denom) for _ in pts]
+def _random_weights(space, pts, rng: random.Random) -> AtomicMeasure:
+    """The measure on pts with weights proportional to draws from 1..MAX_DENOM."""
+    nums = [rng.randint(1, MAX_DENOM) for _ in pts]
     total = sum(nums)
     return atomic_measure(space, [(p, Fraction(num, total)) for p, num in zip(pts, nums)])
 
 
 def sample_fiber_measure(
-    space: InducedSpace,
-    coset: int,
-    rng: random.Random,
-    max_atoms: int,
-    walk_len: int = 8,
-    max_denom: int = 64,
+    space: InducedSpace, coset: int, rng: random.Random, max_atoms: int
 ) -> AtomicMeasure:
     """Fiber-supported measure: walk-generated atoms, random rational weights."""
     rank = space.fiber.rank
     pts = _distinct_draws(
-        rng.randint(1, max_atoms),
-        lambda: (coset, sample_boundary_point(rng, rank, walk_len)),
+        rng.randint(1, max_atoms), lambda: (coset, sample_boundary_point(rng, rank))
     )
-    return _random_weights(space, pts, rng, max_denom)
+    return _random_weights(space, pts, rng)
 
 
 def sample_boundary_measure(
-    space: BoundarySpace,
-    rng: random.Random,
-    max_atoms: int,
-    walk_len: int = 8,
-    max_denom: int = 64,
+    space: BoundarySpace, rng: random.Random, max_atoms: int
 ) -> AtomicMeasure:
     pts = _distinct_draws(
-        rng.randint(1, max_atoms),
-        lambda: sample_boundary_point(rng, space.rank, walk_len),
+        rng.randint(1, max_atoms), lambda: sample_boundary_point(rng, space.rank)
     )
-    return _random_weights(space, pts, rng, max_denom)
+    return _random_weights(space, pts, rng)
 
 
 def sample_spread_measure(
-    space: InducedSpace, rng: random.Random, max_atoms: int, walk_len: int = 8
+    space: InducedSpace, rng: random.Random, max_atoms: int
 ) -> AtomicMeasure:
     """A measure guaranteed to touch at least two cosets (needs index >= 2)."""
     n = space.table.size
@@ -444,13 +454,13 @@ def sample_spread_measure(
         raise ValueError("spread measures need at least two cosets")
     pts = _distinct_draws(
         max(2, rng.randint(2, max(2, max_atoms))),
-        lambda: (rng.randint(1, n), sample_boundary_point(rng, space.fiber.rank, walk_len)),
+        lambda: (rng.randint(1, n), sample_boundary_point(rng, space.fiber.rank)),
     )
     cosets = {p[0] for p in pts}
     if len(cosets) == 1:
         other = 1 + (pts[0][0] % n)
         pts[-1] = (other, pts[-1][1])
-    return _random_weights(space, pts, rng, 64)
+    return _random_weights(space, pts, rng)
 
 
 # -- minimality ------------------------------------------------------------------------
@@ -473,60 +483,35 @@ def check_minimal_finite(space: FiniteSpace) -> CheckReport:
     )
 
 
-def _coverage_key(space, point, depth):
-    if isinstance(space, InducedSpace):
-        i, y = point
-        return (i, y.expand(depth))
-    return point.expand(depth)
-
-
-def _coverage_targets(space, depth):
-    if isinstance(space, InducedSpace):
-        if not isinstance(space.fiber, BoundarySpace):
-            raise ValueError("symbolic coverage needs a boundary fiber")
-        cyls = space.fiber.cylinders(depth)
-        return {(i, c) for i in range(1, space.size + 1) for c in cyls}
-    return set(space.cylinders(depth))
-
-
-def _key_str(key) -> str:
-    if isinstance(key, tuple) and key and isinstance(key[0], int) and len(key) == 2 and isinstance(key[1], tuple):
-        return f"({key[0]}, {letters_to_str(key[1])})"
-    return letters_to_str(key)
-
-
-def check_minimal_symbolic(
-    space,
-    depth: int,
-    radius: int,
-    samples: int,
-    seed: int,
-    ball_cap: int = 200_000,
-) -> CheckReport:
-    """Orbit density proxy: from seeded start points, the radius-R ball must
-    visit every depth-d cylinder (and every coset, for induced spaces).
+def check_minimal_symbolic(space, depth: int, radius: int, samples: int, seed: int) -> CheckReport:
+    """Orbit density proxy: from seeded start points, the radius-R ball (at
+    most ``COVERAGE_BALL_CAP`` words) must visit every depth-d cylinder (and
+    every coset, for induced spaces).
 
     Incomplete coverage is INCONCLUSIVE: density cannot be refuted at finite
     radius.
     """
     if depth < 0 or radius < 0 or samples < 1:
         raise ValueError("depth, radius >= 0 and samples >= 1 required")
-    targets = _coverage_targets(space, depth)
-    ballwords = acting_ball(space, radius, ball_cap)
+    if isinstance(space, InducedSpace):
+        if not isinstance(space.fiber, BoundarySpace):
+            raise ValueError("symbolic coverage needs a boundary fiber")
+        n, rank = space.size, space.fiber.rank
+        targets = {(i, c) for i in range(1, n + 1) for c in space.fiber.cylinders(depth)}
+        draw = lambda rng: (rng.randint(1, n), sample_boundary_point(rng, rank))
+        key = lambda p: (p[0], p[1].expand(depth))
+        key_str = lambda k: f"({k[0]}, {letters_to_str(k[1])})"
+    else:
+        targets = set(space.cylinders(depth))
+        draw = lambda rng: sample_boundary_point(rng, space.rank)
+        key = lambda p: p.expand(depth)
+        key_str = letters_to_str
+    ballwords = acting_ball(space, radius, COVERAGE_BALL_CAP)
     evidence = []
     complete = True
     for idx in range(samples):
-        rng = random.Random(seed ^ idx)
-        if isinstance(space, InducedSpace):
-            start = (
-                rng.randint(1, space.size),
-                sample_boundary_point(rng, space.fiber.rank),
-            )
-        else:
-            start = sample_boundary_point(rng, space.rank)
-        hit = set()
-        for w in ballwords:
-            hit.add(_coverage_key(space, space.act(w, start), depth))
+        start = draw(random.Random(seed ^ idx))
+        hit = {key(space.act(w, start)) for w in ballwords}
         missing = targets - hit
         if missing:
             complete = False
@@ -535,16 +520,16 @@ def check_minimal_symbolic(
                 "start": point_to_json(start),
                 "covered": len(hit & targets),
                 "total": len(targets),
-                "missing": sorted(_key_str(k) for k in missing)[:20],
+                "missing": sorted(key_str(k) for k in missing)[:20],
             }
         )
     return CheckReport(
         check="minimal-symbolic",
-        verdict=PASS if complete else INCONCLUSIVE,
+        verdict=_verdict(False, not complete),
         parameters={"depth": depth, "radius": radius, "samples": samples},
         seed=seed,
         evidence=evidence,
-        truncation={"ball_radius": radius, "ball_cap": ball_cap},
+        truncation={"ball_radius": radius, "ball_cap": COVERAGE_BALL_CAP},
     )
 
 
@@ -645,6 +630,27 @@ def _finite_extension_report(phi: ExtensionMap) -> CheckReport:
     return report(PASS if all_pass else FAIL, evidence)
 
 
+def _fiber_sample(space: InducedSpace, idx: int, seed: int, max_atoms: int):
+    """(coset, measure): sample idx, drawn from Random(seed ^ idx) in the fiber
+    over coset 1 + idx % n."""
+    coset = 1 + idx % space.size
+    return coset, sample_fiber_measure(space, coset, random.Random(seed ^ idx), max_atoms)
+
+
+def _certify(entry: dict, nu: AtomicMeasure, target_depth: int, budget: int, strategy: str):
+    """Contract nu, replay the certificate, and record both in the evidence
+    entry.  Returns replay's (ok, detail), or (None, None) when the budget
+    runs out."""
+    cert = contract_measure(nu, target_depth, budget, strategy=strategy)
+    if cert is None:
+        entry["certificate"] = None
+        return None, None
+    ok, detail, _ = replay(nu, cert)
+    entry["certificate"] = cert.to_json()
+    entry["replay_ok"] = ok
+    return ok, detail
+
+
 def check_sp_extension(
     phi: ExtensionMap,
     max_atoms: int = 5,
@@ -662,39 +668,21 @@ def check_sp_extension(
     """
     if isinstance(phi.source, FiniteSpace):
         return _finite_extension_report(phi)
-    space = phi.source
-    n = space.table.size
-
     evidence = []
+    failed = inconclusive = False
     for idx in range(samples):
-        rng = random.Random(seed ^ idx)
-        coset = 1 + (idx % n)
-        nu = sample_fiber_measure(space, coset, rng, max_atoms)
-        cert = contract_measure(nu, target_depth, budget, strategy=strategy)
-        entry = {
-            "sample": idx,
-            "coset": coset,
-            "measure": measure_to_json(nu),
-            "certificate": None,
-        }
-        if cert is not None:
-            ok, detail, _ = replay(nu, cert)
-            entry["certificate"] = cert.to_json()
+        coset, nu = _fiber_sample(phi.source, idx, seed, max_atoms)
+        entry = {"sample": idx, "coset": coset, "measure": measure_to_json(nu)}
+        ok, detail = _certify(entry, nu, target_depth, budget, strategy)
+        if ok is None:
+            inconclusive = True
+        else:
             entry["replay"] = detail
-            entry["replay_ok"] = ok
+            failed = failed or not ok
         evidence.append(entry)
-
-    missing = [e["sample"] for e in evidence if e["certificate"] is None]
-    bad_replay = [e["sample"] for e in evidence if e.get("replay_ok") is False]
-    if bad_replay:
-        verdict = FAIL
-    elif missing:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS
     return CheckReport(
         check="sp-extension",
-        verdict=verdict,
+        verdict=_verdict(failed, inconclusive),
         parameters={
             "max_atoms": max_atoms,
             "samples": samples,
@@ -717,14 +705,14 @@ def check_contraction_lifting(
     budget: int = 64,
     depth: int = 1,
     radius: int = 4,
-    coverage_samples: int = 5,
 ) -> CheckReport:
     """Two-way consistency between base contraction and fiber contraction.
 
     Sampled measures whose base push-forward is a point mass must contract;
     measures spread over several cosets carry no obligation and are recorded
-    as such.  The source must also pass symbolic minimality coverage, and the
-    finite base must be minimal to begin with.
+    as such.  The source must also pass symbolic minimality coverage
+    (``LIFTING_COVERAGE_SAMPLES`` starts), and the finite base must be minimal
+    to begin with.
     """
     base_report = check_minimal_finite(phi.target)
     if base_report.verdict != PASS:
@@ -738,17 +726,13 @@ def check_contraction_lifting(
         )
     space = phi.source
     minimal_report = check_minimal_symbolic(
-        space, depth, radius, coverage_samples, seed
+        space, depth, radius, LIFTING_COVERAGE_SAMPLES, seed
     )
-    n = space.table.size
     evidence = []
-    obligations_ok = True
-    budget_hit = False
+    failed = budget_hit = False
     for idx in range(samples):
-        rng = random.Random(seed ^ idx)
-        fiber_case = (idx % 2 == 0) or n < 2
-        if fiber_case:
-            nu = sample_fiber_measure(space, 1 + (idx % n), rng, max_atoms)
+        if idx % 2 == 0 or space.size < 2:
+            _, nu = _fiber_sample(space, idx, seed, max_atoms)
             down = pushforward_map(phi, nu)
             entry = {
                 "sample": idx,
@@ -757,22 +741,14 @@ def check_contraction_lifting(
                 "measure": measure_to_json(nu),
             }
             if not down.is_dirac:
-                obligations_ok = False
+                failed = True
                 entry["violation"] = "fiber-supported sample has non-Dirac push-forward"
-                evidence.append(entry)
-                continue
-            cert = contract_measure(nu, target_depth, budget, strategy="fiber-lift")
-            if cert is None:
-                budget_hit = True
-                entry["certificate"] = None
             else:
-                ok, detail, _ = replay(nu, cert)
-                entry["certificate"] = cert.to_json()
-                entry["replay_ok"] = ok
-                if not ok:
-                    obligations_ok = False
+                ok, _ = _certify(entry, nu, target_depth, budget, "fiber-lift")
+                budget_hit = budget_hit or ok is None
+                failed = failed or ok is False
         else:
-            nu = sample_spread_measure(space, rng, max_atoms)
+            nu = sample_spread_measure(space, random.Random(seed ^ idx), max_atoms)
             fib = is_fiber_supported(phi, nu)
             entry = {
                 "sample": idx,
@@ -782,18 +758,12 @@ def check_contraction_lifting(
                 "measure": measure_to_json(nu),
             }
             if fib is not None:
-                obligations_ok = False
+                failed = True
                 entry["violation"] = "spread sample unexpectedly fiber-supported"
         evidence.append(entry)
-    if not obligations_ok:
-        verdict = FAIL
-    elif budget_hit or minimal_report.verdict != PASS:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS
     return CheckReport(
         check="contraction-lifting",
-        verdict=verdict,
+        verdict=_verdict(failed, budget_hit or minimal_report.verdict != PASS),
         parameters={
             "max_atoms": max_atoms,
             "samples": samples,
@@ -809,16 +779,6 @@ def check_contraction_lifting(
 
 
 # -- fiber decomposition ---------------------------------------------------------------
-
-def _tables_agree(t1, t2) -> bool:
-    return (
-        t1.size == t2.size
-        and t1.fwd == t2.fwd
-        and t1.inv == t2.inv
-        and tuple(t.letters for t in t1.transversal)
-        == tuple(t.letters for t in t2.transversal)
-    )
-
 
 def decompose_fibers(
     phi: ExtensionMap,
@@ -856,7 +816,7 @@ def decompose_fibers(
         stab_table = enumerate_cosets(stab, max_cosets=4 * n + 4)
         conj = conjugate_subgroup(sub, t_i)
         conj_table = enumerate_cosets(conj, max_cosets=4 * n + 4)
-        tables_match = _tables_agree(stab_table, conj_table)
+        tables_match = stab_table.to_json() == conj_table.to_json()
         index_ok = stab_table.size == n
 
         rng = random.Random(seed ^ i)
@@ -872,17 +832,14 @@ def decompose_fibers(
         for w in cached_ball(fiber_ctx, 2):
             if w.is_identity:
                 continue
-            lam_i = t_i * eval_in_ambient(space.basis, w) * t_i.inverse()
+            lam_i = space.lift(i, w)
             for _ in range(2):
                 y = sample_boundary_point(rng, rank)
                 if space.act(lam_i, (i, y))[0] != i:
                     invariance_ok = False
 
         hit = set()
-        movers = [
-            t_i * eval_in_ambient(space.basis, w) * t_i.inverse()
-            for w in cached_ball(fiber_ctx, radius)
-        ]
+        movers = [space.lift(i, w) for w in cached_ball(fiber_ctx, radius)]
         for _ in range(samples):
             y = sample_boundary_point(rng, rank)
             for mover in movers:
@@ -908,15 +865,9 @@ def decompose_fibers(
             all_ok = False
         if not fiber_covered:
             coverage_ok = False
-    if not all_ok:
-        verdict = FAIL
-    elif not coverage_ok:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS
     return CheckReport(
         check="decompose-fibers",
-        verdict=verdict,
+        verdict=_verdict(not all_ok, not coverage_ok),
         parameters={"fibers": n, "depth": depth, "radius": radius, "samples": samples},
         seed=seed,
         evidence=evidence,

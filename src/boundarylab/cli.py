@@ -138,6 +138,8 @@ def _cmd_contract(args) -> int:
     objs = ScenarioObjects(scenario)
     with open(args.measure, "r", encoding="utf-8") as fh:
         mdata = json.load(fh)
+    if not isinstance(mdata, dict) or "atoms" not in mdata:
+        raise ScenarioError("measure: must be an object with an 'atoms' list")
     space_name = mdata.get("space", "induced")
     if space_name == "induced":
         space = objs.induced

@@ -186,21 +186,9 @@ class BallFunction:
 # -- Poisson transform ------------------------------------------------------------
 
 def acting_ball(space, radius: int, max_size: int = DEFAULT_BALL_CAP) -> Sequence[Word]:
-    """The word ball of the group acting on the space.
-
-    For a subgroup-acted boundary the ball is taken in the subgroup's own
-    generators (its free basis), returned as ambient words.
-    """
-    if isinstance(space, (InducedSpace, FiniteSpace)):
-        return cached_ball(space.ambient, radius, max_size)
-    if space.subgroup_action is None:
-        return cached_ball(space.free_ctx, radius, max_size)
-    from .cosets import eval_in_ambient
-
-    table, basis = space.subgroup_action
-    return tuple(
-        eval_in_ambient(basis, w) for w in cached_ball(space.free_ctx, radius, max_size)
-    )
+    """The word ball of the group acting on the space."""
+    ctx = space.free_ctx if isinstance(space, BoundarySpace) else space.ambient
+    return cached_ball(ctx, radius, max_size)
 
 
 def _poisson_value(nu: AtomicMeasure, f: CylinderFunction, s: Word) -> float:
@@ -222,11 +210,10 @@ def poisson_transform(
     nu: AtomicMeasure,
     f: CylinderFunction,
     radius: int,
-    max_size: int = DEFAULT_BALL_CAP,
 ) -> BallFunction:
     """s -> integral of f(s . x) d nu(x), over the radius-R word ball."""
     values = {}
-    for s in acting_ball(nu.space, radius, max_size):
+    for s in acting_ball(nu.space, radius):
         values[s] = _poisson_value(nu, f, s)
     return BallFunction(radius, values)
 
@@ -237,7 +224,6 @@ def isometry_defect(
     radius: int,
     probes: Sequence[Word] = (),
     max_enumeration_radius: Optional[int] = None,
-    max_size: int = DEFAULT_BALL_CAP,
 ) -> float:
     """How far the truncated Poisson image falls short of attaining ||f||.
 
@@ -255,7 +241,7 @@ def isometry_defect(
     if max_enumeration_radius is not None:
         enum_radius = min(radius, max_enumeration_radius)
     best = 0.0
-    for s in acting_ball(nu.space, enum_radius, max_size):
+    for s in acting_ball(nu.space, enum_radius):
         best = max(best, abs(_poisson_value(nu, f, s)))
     for s in probes:
         if len(s) <= radius:
@@ -274,7 +260,9 @@ def weight_to_json(w: Weight):
 def weight_from_json(x) -> Weight:
     if isinstance(x, str):
         return Fraction(x)
-    return float(x)
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    raise ValueError(f"weight: must be a rational string or a number, not {x!r}")
 
 
 def point_to_json(p):
@@ -288,6 +276,8 @@ def point_to_json(p):
 def point_from_json(space, data):
     if isinstance(space, FiniteSpace):
         return int(data)
+    if not isinstance(data, str):
+        raise ValueError(f"point: must be a string, not {data!r}")
     if isinstance(space, BoundarySpace):
         return parse_boundary_point(data)
     return parse_induced_point(data)
@@ -300,6 +290,9 @@ def measure_to_json(nu: AtomicMeasure) -> list:
 
 
 def measure_from_json(space, data) -> AtomicMeasure:
+    if not (isinstance(data, list)
+            and all(isinstance(e, dict) and "point" in e and "weight" in e for e in data)):
+        raise ValueError('measure: must be a list of {"point", "weight"} objects')
     return atomic_measure(
         space,
         [(point_from_json(space, e["point"]), weight_from_json(e["weight"])) for e in data],

@@ -17,6 +17,7 @@ from importlib import resources
 from . import __version__
 from .checks import (
     CheckReport,
+    ContractionCertificate,
     FAIL,
     amenable_size_check,
     check_contraction_lifting,
@@ -35,7 +36,7 @@ from .spaces import (
     induced_extension,
     induced_space,
 )
-from .words import FreeGroup, PermutationGroup, Word, letters_to_str, parse_word
+from .words import FreeGroup, PermutationGroup, Word, is_int, letters_to_str, parse_word
 
 REPORT_SCHEMA = "boundarylab-report/1"
 
@@ -70,10 +71,6 @@ def _require(cond: bool, fieldname: str, message: str) -> None:
         raise ScenarioError(f"{fieldname}: {message}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass
 class Scenario:
     name: str
@@ -91,19 +88,21 @@ def scenario_from_dict(data: dict) -> Scenario:
     _require(isinstance(data, dict), "<root>", "scenario must be a JSON object")
     _require("name" in data, "name", "missing")
     _require("seed" in data, "seed", "missing (no implicit randomness)")
-    _require(isinstance(data["seed"], int), "seed", "must be an integer")
+    _require(is_int(data["seed"]), "seed", "must be an integer")
 
     gspec = data.get("group")
     _require(isinstance(gspec, dict), "group", "must be an object")
     kind = gspec.get("kind")
     if kind == "free":
-        _require(isinstance(gspec.get("rank"), int) and gspec["rank"] >= 1,
+        _require(is_int(gspec.get("rank")) and gspec["rank"] >= 1,
                  "group.rank", "must be an integer >= 1")
         group = FreeGroup(gspec["rank"])
     elif kind == "permutation":
-        _require(isinstance(gspec.get("degree"), int), "group.degree", "must be an integer")
+        _require(is_int(gspec.get("degree")), "group.degree", "must be an integer")
         gens = gspec.get("generators")
         _require(isinstance(gens, list) and gens, "group.generators", "must be a nonempty list")
+        _require(all(isinstance(g, list) and all(is_int(v) for v in g) for g in gens),
+                 "group.generators", "each generator must be a list of integers")
         try:
             group = PermutationGroup(gspec["degree"], tuple(tuple(g) for g in gens))
         except ValueError as exc:
@@ -122,6 +121,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require(bool(sub_words), "subgroup",
                  "free-group scenarios need a nontrivial subgroup")
 
+    for fieldname in ("depths", "budgets"):
+        _require(isinstance(data.get(fieldname, {}), dict), fieldname, "must be an object")
     depths = dict(data.get("depths", {}))
     depths.setdefault("cylinder", 1)
     depths.setdefault("target", 20)
@@ -131,7 +132,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     budgets.setdefault("samples", 20)
     budgets.setdefault("max_cosets", 1024)
     for key, val in {**depths, **budgets}.items():
-        _require(isinstance(val, int) and val >= 0, f"depths/budgets.{key}",
+        _require(is_int(val) and val >= 0, f"depths/budgets.{key}",
                  "must be a nonnegative integer")
     _require(budgets["steps"] >= 1, "budgets.steps", "must be >= 1")
     _require(budgets["max_cosets"] >= 1, "budgets.max_cosets", "must be >= 1")
@@ -145,7 +146,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                  f"unknown check {c['check']!r}; known: {', '.join(KNOWN_CHECKS)}")
         for key, low in _CHECK_INT_MINIMUMS.items():
             if key in c:
-                _require(_is_int(c[key]) and (low is None or c[key] >= low),
+                _require(is_int(c[key]) and (low is None or c[key] >= low),
                          f"checks[{pos}].{key}",
                          "must be an integer" + ("" if low is None else f" >= {low}"))
 
@@ -155,7 +156,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         for fieldname in ("name", "size", "action", "projection"):
             _require(isinstance(e, dict) and fieldname in e,
                      f"extensions[{pos}].{fieldname}", "missing")
-        _require(_is_int(e["size"]) and e["size"] >= 1, f"extensions[{pos}].size",
+        _require(is_int(e["size"]) and e["size"] >= 1, f"extensions[{pos}].size",
                  "must be an integer >= 1")
         _require(isinstance(e["projection"], list) and len(e["projection"]) == e["size"],
                  f"extensions[{pos}].projection", "must be a list of length size")
@@ -222,7 +223,7 @@ class ScenarioObjects:
                 perms.append(tuple(cand["action"][key]))
             space = FiniteSpace.make(group, cand["size"], perms)
             n = self.base_space.size
-            if not all(_is_int(v) and 1 <= v <= n for v in cand["projection"]):
+            if not all(is_int(v) and 1 <= v <= n for v in cand["projection"]):
                 raise ScenarioError(
                     f"extensions[{cand['name']}].projection: values must lie in 1..{n}"
                 )
@@ -240,6 +241,13 @@ def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
     name = spec["check"]
     depths, budgets = scenario.depths, scenario.budgets
     seed = spec.get("seed", scenario.seed)
+    contraction = {
+        "max_atoms": spec.get("max_atoms", 5),
+        "samples": spec.get("samples", budgets["samples"]),
+        "seed": seed,
+        "target_depth": spec.get("target_depth", depths["target"]),
+        "budget": spec.get("steps", budgets["steps"]),
+    }
     if name == "minimal-finite":
         return check_minimal_finite(objs.base_space)
     if name == "minimal-symbolic":
@@ -254,22 +262,12 @@ def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
         if isinstance(scenario.group, PermutationGroup) and not scenario.subgroup_words:
             raise ScenarioError("sp-extension on a permutation scenario needs a subgroup")
         return check_sp_extension(
-            objs.extension,
-            max_atoms=spec.get("max_atoms", 5),
-            samples=spec.get("samples", budgets["samples"]),
-            seed=seed,
-            target_depth=spec.get("target_depth", depths["target"]),
-            budget=spec.get("steps", budgets["steps"]),
-            strategy=spec.get("strategy", "fiber-lift"),
+            objs.extension, **contraction, strategy=spec.get("strategy", "fiber-lift")
         )
     if name == "contraction-lifting":
         return check_contraction_lifting(
             objs.extension,
-            max_atoms=spec.get("max_atoms", 5),
-            samples=spec.get("samples", budgets["samples"]),
-            seed=seed,
-            target_depth=spec.get("target_depth", depths["target"]),
-            budget=spec.get("steps", budgets["steps"]),
+            **contraction,
             depth=spec.get("depth", depths["cylinder"]),
             radius=spec.get("radius", budgets["ball_radius"]),
         )
@@ -368,9 +366,13 @@ def replay_certificate(report_data: dict, check_id: str, cert_index: int):
     ``check_id`` is a full id such as ``03-sp-extension``, or the part after
     the ``NN-`` prefix when exactly one check in the report has it.
     """
+    _require(isinstance(report_data, dict), "<root>", "report must be a JSON object")
+    _require("scenario" in report_data, "scenario", "missing")
+    entries = report_data.get("checks")
+    _require(isinstance(entries, list)
+             and all(isinstance(e, dict) and isinstance(e.get("id"), str) for e in entries),
+             "checks", "must be a list of objects with a string 'id'")
     scenario = scenario_from_dict(report_data["scenario"])
-    objs = ScenarioObjects(scenario)
-    entries = report_data["checks"]
     matches = [e for e in entries if e["id"] == check_id]
     if not matches:
         matches = [e for e in entries if e["id"].partition("-")[2] == check_id]
@@ -380,26 +382,17 @@ def replay_certificate(report_data: dict, check_id: str, cert_index: int):
         raise ScenarioError(f"check id {check_id!r} {problem} in report; ids: {ids}")
     target = matches[0]
     evidence = target.get("evidence", [])
+    _require(isinstance(evidence, list), f"checks[{check_id}].evidence", "must be a list")
     if not 0 <= cert_index < len(evidence):
         raise ScenarioError(
             f"certificate index {cert_index} out of range (evidence has {len(evidence)})"
         )
     item = evidence[cert_index]
-    if "certificate" not in item or item["certificate"] is None:
+    if not isinstance(item, dict) or item.get("certificate") is None:
         raise ScenarioError("selected evidence entry carries no certificate")
-    space = objs.induced
-    nu = measure_from_json(space, item["measure"])
-    cert_data = item["certificate"]
-    from .checks import ContractionCertificate
-    from .words import letters_from_str
-
-    steps = tuple(parse_word(space.ambient, s) for s in cert_data["steps"])
-    cert = ContractionCertificate(
-        steps=steps,
-        achieved_depth=cert_data["achieved_depth"],
-        limit_coset=cert_data["limit_coset"],
-        limit_cylinder=letters_from_str(cert_data["limit_cylinder"]),
-    )
+    space = ScenarioObjects(scenario).induced
+    nu = measure_from_json(space, item.get("measure"))
+    cert = ContractionCertificate.from_json(space.ambient, item["certificate"])
     ok, detail, _ = replay_steps(nu, cert)
     return ("PASS" if ok else "FAIL"), detail
 

@@ -22,6 +22,7 @@ from .cosets import (
     SchreierBasis,
     SubgroupHandle,
     _cocycle_step,
+    eval_in_ambient,
     rewrite_in_basis,
 )
 from .words import (
@@ -247,16 +248,12 @@ def stabilizer_subgroup(space: FiniteSpace, x: int) -> SubgroupHandle:
 
 @dataclass(frozen=True)
 class BoundarySpace:
-    """Boundary of a rank-r free group; optionally acted on by a subgroup.
-
-    With ``subgroup_action`` unset, acting words live in FreeGroup(rank) and
-    hit points by left concatenation.  With a (table, basis) pair, acting
-    words live in the ambient group, must lie in the subgroup, and act through
-    Schreier rewriting.
+    """Boundary of a rank-r free group: acting words live in FreeGroup(rank)
+    and hit points by left concatenation.  A subgroup acting through its
+    Schreier basis is the fiber at coset 1 of an :class:`InducedSpace`.
     """
 
     rank: int
-    subgroup_action: Optional[tuple[CosetTable, SchreierBasis]] = None
 
     def __post_init__(self) -> None:
         if self.rank < 2:
@@ -267,13 +264,10 @@ class BoundarySpace:
         return FreeGroup(self.rank)
 
     def acting_letters(self, g: Word) -> tuple[int, ...]:
-        """Resolve an acting word into rank-r letters (rewriting if needed)."""
-        if self.subgroup_action is None:
-            if g.ctx != self.free_ctx:
-                raise ValueError("word is not over the boundary's free group")
-            return g.letters
-        table, basis = self.subgroup_action
-        return rewrite_in_basis(table, basis, g).letters
+        """The letters of an acting word, checked to lie in FreeGroup(rank)."""
+        if g.ctx != self.free_ctx:
+            raise ValueError("word is not over the boundary's free group")
+        return g.letters
 
     def act(self, g: Word, point: BoundaryPoint) -> BoundaryPoint:
         return boundary_act(self.acting_letters(g), point)
@@ -287,17 +281,11 @@ class BoundarySpace:
 
 @dataclass(frozen=True)
 class InducedSpace:
-    """Points (coset index, fiber point) under the cocycle-twisted action.
-
-    ``fiber_action_enabled=False`` ablates the fiber motion (the coset still
-    moves); useful as a control: with the fiber frozen, no non-trivial fiber
-    measure can concentrate.
-    """
+    """Points (coset index, fiber point) under the cocycle-twisted action."""
 
     table: CosetTable
     basis: Optional[SchreierBasis]
     fiber: Union[BoundarySpace, FiniteSpace]
-    fiber_action_enabled: bool = True
 
     @property
     def ambient(self):
@@ -310,13 +298,17 @@ class InducedSpace:
     def act(self, gamma: Word, point) -> tuple:
         i, y = point
         j, lam = _cocycle_step(self.table, gamma, i)
-        if not self.fiber_action_enabled:
-            return (j, y)
         lam_inv = lam.inverse()
         if isinstance(self.fiber, BoundarySpace):
             letters = rewrite_in_basis(self.table, self.basis, lam_inv).letters
             return (j, boundary_act(letters, y))
         return (j, self.fiber.act(lam_inv, y))
+
+    def lift(self, i: int, w: Word) -> Word:
+        """The ambient element t_i w t_i^-1 for a fiber word w: it fixes coset
+        i and moves that fiber by w."""
+        t = self.table.rep(i)
+        return t * eval_in_ambient(self.basis, w) * t.inverse()
 
 
 def induced_space(table: CosetTable, basis: SchreierBasis) -> InducedSpace:

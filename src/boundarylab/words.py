@@ -248,6 +248,11 @@ def parse_word(ctx, s: str) -> Word:
     return word(ctx, letters_from_str(s))
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool (JSON ``true`` parses to one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # -- permutation evaluation ---------------------------------------------------
 
 def identity_perm(degree: int) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
-"""Simple reference implementations that the fast paths are tested against.
+"""Simple reference implementations that the fast paths are tested against,
+and test doubles.
 
 Each function here is the straightforward version a faster one in ``src/``
 replaced; the property tests assert that both give identical results.
@@ -8,7 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from boundarylab.cosets import InfiniteIndexError, _canonicalize, _find
+from boundarylab.cosets import InfiniteIndexError, _canonicalize, _cocycle_step, _find
+from boundarylab.spaces import InducedSpace
 from boundarylab.words import BudgetExceededError, _letter_rank, alphabet
 
 
@@ -89,3 +91,13 @@ def sorted_shortlex_bfs(ctx, base, step, max_nodes=None):
                 reps[v] = wl
                 layer.append((wl, v))
     return reps
+
+
+class FrozenFiberSpace(InducedSpace):
+    """An induced space with the fiber motion ablated, as a control: the coset
+    still moves but the fiber coordinate never does, so no non-trivial fiber
+    measure can concentrate."""
+
+    def act(self, gamma, point):
+        i, y = point
+        return (_cocycle_step(self.table, gamma, i)[0], y)

@@ -33,6 +33,7 @@ from boundarylab.checks import (
     steer_into_cylinder,
 )
 from boundarylab.measures import CylinderFunction, isometry_defect
+from oracles import FrozenFiberSpace
 
 F2 = FreeGroup(2)
 Y2 = BoundarySpace(2)
@@ -176,8 +177,7 @@ def test_contract_validates_parameters():
 
 
 def test_disabled_fiber_action_never_contracts(index2_table, index2_basis):
-    frozen = InducedSpace(index2_table, index2_basis, BoundarySpace(3),
-                          fiber_action_enabled=False)
+    frozen = FrozenFiberSpace(index2_table, index2_basis, BoundarySpace(3))
     y1, y2 = boundary_point((), (1,)), boundary_point((), (2,))
     nu = atomic_measure(frozen, [((2, y1), Fraction(1, 2)), ((2, y2), Fraction(1, 2))])
     assert contract_measure(nu, 5, 32, strategy="fiber-lift") is None
@@ -290,8 +290,7 @@ def test_contraction_lifting_disabled_fiber_control(index2_table, index2_basis):
     # with the fiber action ablated, the obligations cannot discharge
     from boundarylab.spaces import induced_extension
 
-    frozen = InducedSpace(index2_table, index2_basis, BoundarySpace(3),
-                          fiber_action_enabled=False)
+    frozen = FrozenFiberSpace(index2_table, index2_basis, BoundarySpace(3))
     phi = induced_extension(frozen)
     report = check_contraction_lifting(phi, max_atoms=3, samples=6, seed=5,
                                        target_depth=8, budget=24, depth=1, radius=3)

@@ -274,18 +274,6 @@ def test_poisson_on_induced_space(index2_induced):
     assert abs(isometry_defect(nu, f, 1)) == 0.0
 
 
-def test_poisson_on_subgroup_acted_boundary(index2_table, index2_basis):
-    space = __import__("boundarylab").BoundarySpace(
-        3, subgroup_action=(index2_table, index2_basis)
-    )
-    nu = dirac(space, boundary_point((), (2,)))
-    f = CylinderFunction(rank=3, depth=1, values={(2,): 1.0})
-    bf = poisson_transform(nu, f, 2)
-    # the acting ball consists of ambient words of subgroup elements
-    assert all(index2_table.coset_of(s) == 1 for s in bf.values)
-    assert bf.values[identity(F2)] == 1.0
-
-
 def test_ball_function_export_sorted():
     nu = half_half()
     f = CylinderFunction(rank=2, depth=1, values={(1,): 1.0})

@@ -190,6 +190,13 @@ def _with_extension(**changes):
     (_with_extension(projection=[1, 2, 3]), "extensions[0].projection"),
     (_with_extension(size="6"), "extensions[0].size"),
     (_with_extension(projection=[1, 2, 3, 1, 2, 4]), "extensions[cover].projection"),
+    ({**S3_SCENARIO, "group": {**S3_SCENARIO["group"], "generators": [None, [1, 2, 0]]}},
+     "group.generators"),
+    ({**S3_SCENARIO, "group": {**S3_SCENARIO["group"], "degree": True}}, "group.degree"),
+    ({**SMALL_SCENARIO, "group": {"kind": "free", "rank": True}}, "group.rank"),
+    ({**SMALL_SCENARIO, "seed": True}, "seed"),
+    ({**SMALL_SCENARIO, "depths": [1]}, "depths"),
+    ({**SMALL_SCENARIO, "budgets": "x"}, "budgets"),
 ])
 def test_cli_malformed_field_exits_2(tmp_path, capsys, scenario, fieldname):
     path = tmp_path / "malformed.json"
@@ -198,6 +205,48 @@ def test_cli_malformed_field_exits_2(tmp_path, capsys, scenario, fieldname):
     err = capsys.readouterr().err
     assert fieldname in err
     assert "Traceback" not in err
+
+
+def _first_certificate(report):
+    return next(e for e in report["checks"][1]["evidence"] if e["certificate"])
+
+
+def _tamper_certificate(key, value):
+    def tamper(report):
+        entry = _first_certificate(report)
+        (entry if key == "measure" else entry["certificate"])[key] = value
+        return report
+    return tamper
+
+
+ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "1/2"}]
+
+
+@pytest.mark.parametrize("command, tamper", [
+    ("replay", lambda r: [r]),
+    ("replay", lambda r: {k: v for k, v in r.items() if k != "scenario"}),
+    ("replay", lambda r: {k: v for k, v in r.items() if k != "checks"}),
+    ("replay", _tamper_certificate("steps", 3)),
+    ("replay", _tamper_certificate("measure", "(2, |a)")),
+    ("replay", _tamper_certificate("achieved_depth", "8")),
+    ("contract", lambda _: ATOMS),
+    ("contract", lambda _: {"space": "induced"}),
+    ("contract", lambda _: {"atoms": [{"point": "(2, |a)"}]}),
+    ("contract", lambda _: {"atoms": "(2, |a)"}),
+], ids=["report-list", "no-scenario", "no-checks", "int-steps", "str-measure",
+        "str-achieved-depth", "bare-atom-list", "no-atoms", "atom-without-weight",
+        "str-atoms"])
+def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper):
+    report = json.loads(report_json_text(run_scenario(scenario_from_dict(SMALL_SCENARIO))))
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(tamper(report)))
+    if command == "replay":
+        idx = report["checks"][1]["evidence"].index(_first_certificate(report))
+        argv = ["replay", str(path), "--check", "02-sp-extension", "--cert", str(idx)]
+    else:
+        argv = ["contract", tiny_path, "--measure", str(path)]
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_usage_error():

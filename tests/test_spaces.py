@@ -17,9 +17,12 @@ from boundarylab import (
     generator,
     identity,
     induced_extension,
+    induced_space,
     parse_boundary_point,
     parse_induced_point,
     parse_word,
+    rewrite_in_basis,
+    schreier_basis,
     stabilizer_subgroup,
     word,
 )
@@ -31,6 +34,7 @@ from boundarylab.spaces import (
     induced_point_to_str,
 )
 from boundarylab.words import ball, cached_ball, reduce_letters
+from oracles import FrozenFiberSpace
 
 F2 = FreeGroup(2)
 letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8)
@@ -151,17 +155,6 @@ def test_cylinder_after_matches_full_action(g, pair, depth):
     assert cylinder_after(g, p, depth) == boundary_act(g, p).expand(depth)
 
 
-def test_boundary_space_subgroup_action(index2_table, index2_basis):
-    lam = parse_word(F2, "aab")  # in the subgroup
-    space = BoundarySpace(3, subgroup_action=(index2_table, index2_basis))
-    y = boundary_point((), (2,))
-    image = space.act(lam, y)
-    # oracle: rewrite by hand -> aab = (aa)(b) = letters (1, 2)
-    assert image == boundary_act((1, 2), y)
-    with pytest.raises(ValueError):
-        space.act(generator(F2, 1), y)  # not in the subgroup
-
-
 # -- common prefix depth ------------------------------------------------------------
 
 
@@ -223,6 +216,42 @@ def test_act_induced_axioms(index2_induced):
         assert index2_induced.act(g1 * g2, p) == index2_induced.act(
             g1, index2_induced.act(g2, p)
         )
+
+
+@pytest.fixture(scope="module", params=["index2", "index3"])
+def induced(request):
+    table = request.getfixturevalue(f"{request.param}_table")
+    return induced_space(table, schreier_basis(table))
+
+
+def test_subgroup_acts_on_the_fiber_over_coset_1(induced):
+    # a subgroup element moves the fiber over coset 1 by its Schreier rewriting
+    table, basis = induced.table, induced.basis
+    rng = random.Random(3)
+    lams = [w for w in cached_ball(F2, 4) if table.coset_of(w) == 1]
+    assert len(lams) > 10
+    for lam in lams:
+        y = sample_boundary_point(rng, basis.rank)
+        moved = boundary_act(rewrite_in_basis(table, basis, lam).letters, y)
+        assert induced.act(lam, (1, y)) == (1, moved)
+
+
+def test_subgroup_fiber_action_hand_oracle(index2_induced):
+    # rewrite by hand: aab = (aa)(b) = fiber letters (1, 2)
+    y = boundary_point((), (2,))
+    assert index2_induced.act(parse_word(F2, "aab"), (1, y)) == (1, boundary_act((1, 2), y))
+    with pytest.raises(ValueError):  # a is not in the subgroup
+        rewrite_in_basis(index2_induced.table, index2_induced.basis, generator(F2, 1))
+
+
+@given(fiber_letters=st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8),
+       pair=point_strategy)
+def test_lift_moves_its_fiber_by_the_fiber_word(induced, fiber_letters, pair):
+    y = make_point(*pair)
+    assume(y is not None)
+    w = word(FreeGroup(induced.basis.rank), fiber_letters)
+    for i in range(1, induced.size + 1):
+        assert induced.act(induced.lift(i, w), (i, y)) == (i, boundary_act(w.letters, y))
 
 
 def test_fiber_transport(index2_induced):
@@ -289,10 +318,7 @@ def test_induced_with_finite_fiber(s3_table):
 
 
 def test_disabled_fiber_action_is_still_an_action(index2_table, index2_basis):
-    from boundarylab import InducedSpace
-
-    frozen = InducedSpace(index2_table, index2_basis, BoundarySpace(3),
-                          fiber_action_enabled=False)
+    frozen = FrozenFiberSpace(index2_table, index2_basis, BoundarySpace(3))
     rng = random.Random(2)
     B = cached_ball(F2, 3)
     for _ in range(100):
