@@ -267,11 +267,6 @@ def contract_measure(
     """
     if isinstance(nu.space, FiniteSpace):
         raise ValueError("finite-space measures use the exhaustive orbit engine")
-    if isinstance(nu.space, InducedSpace) and not isinstance(nu.space.fiber, BoundarySpace):
-        raise ValueError(
-            "contraction on induced spaces needs a boundary fiber; "
-            "finite fibers use the exhaustive orbit engine"
-        )
     if target_depth < 1:
         raise ValueError("target_depth must be >= 1")
     if budget < 1:
@@ -494,8 +489,6 @@ def check_minimal_symbolic(space, depth: int, radius: int, samples: int, seed: i
     if depth < 0 or radius < 0 or samples < 1:
         raise ValueError("depth, radius >= 0 and samples >= 1 required")
     if isinstance(space, InducedSpace):
-        if not isinstance(space.fiber, BoundarySpace):
-            raise ValueError("symbolic coverage needs a boundary fiber")
         n, rank = space.size, space.fiber.rank
         targets = {(i, c) for i in range(1, n + 1) for c in space.fiber.cylinders(depth)}
         draw = lambda rng: (rng.randint(1, n), sample_boundary_point(rng, rank))

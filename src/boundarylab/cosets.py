@@ -286,14 +286,8 @@ def cocycle(table: CosetTable, gamma: Word, i: int) -> Word:
     """
     if not 1 <= i <= table.size:
         raise ValueError(f"coset index {i} out of range 1..{table.size}")
-    return _cocycle_step(table, gamma, i)[1]
-
-
-def _cocycle_step(table: CosetTable, gamma: Word, i: int) -> tuple[int, Word]:
-    """(j, lam): the coset j of gamma t_i and lam = (gamma t_i)^-1 t_j."""
     gt = gamma * table.rep(i)
-    j = table.coset_of(gt)
-    return j, gt.inverse() * table.rep(j)
+    return gt.inverse() * table.rep(table.coset_of(gt))
 
 
 # -- Schreier basis and rewriting ----------------------------------------------
@@ -346,10 +340,11 @@ def rewrite_in_basis(table: CosetTable, basis: SchreierBasis, lam: Word) -> Word
     Scans left to right, tracking the coset of the remaining suffix and
     emitting one basis letter per input letter (none for tree edges).  The
     output evaluates back to the input exactly, and the map is a homomorphism
-    up to free reduction.
+    up to free reduction.  The scan ends at the coset of lam^-1, which is 1
+    exactly when lam lies in the subgroup; otherwise it raises ValueError.
     """
-    if table.coset_of(lam) != 1:
-        raise ValueError("word is not in the subgroup (coset != 1)")
+    if lam.ctx != table.ambient:
+        raise ValueError("word from a different context")
     out: list[int] = []
     c = 1
     for l in lam.letters:
@@ -364,7 +359,7 @@ def rewrite_in_basis(table: CosetTable, basis: SchreierBasis, lam: Word) -> Word
                 out.append(-idx)
         c = nc
     if c != 1:
-        raise AssertionError("rewriting scan did not return to coset 1")
+        raise ValueError("word is not in the subgroup (coset != 1)")
     return Word(basis.free_group(), reduce_letters(out))
 
 

@@ -36,8 +36,6 @@ def _atom_sort_key(p):
     if isinstance(p, BoundaryPoint):
         return (p.prefix, p.period)
     i, y = p
-    if isinstance(y, int):
-        return (i, y)
     return (i, y.prefix, y.period)
 
 
@@ -258,10 +256,13 @@ def weight_to_json(w: Weight):
 
 
 def weight_from_json(x) -> Weight:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return float(x)
+    try:
+        if isinstance(x, str):
+            return Fraction(x)
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            return float(x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
     raise ValueError(f"weight: must be a rational string or a number, not {x!r}")
 
 
@@ -280,7 +281,10 @@ def point_from_json(space, data):
         raise ValueError(f"point: must be a string, not {data!r}")
     if isinstance(space, BoundarySpace):
         return parse_boundary_point(data)
-    return parse_induced_point(data)
+    point = parse_induced_point(data)
+    if not 1 <= point[0] <= space.size:
+        raise ValueError(f"point: coset of {data!r} must lie in 1..{space.size}")
+    return point
 
 
 def measure_to_json(nu: AtomicMeasure) -> list:

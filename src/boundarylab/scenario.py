@@ -160,6 +160,13 @@ def scenario_from_dict(data: dict) -> Scenario:
                  "must be an integer >= 1")
         _require(isinstance(e["projection"], list) and len(e["projection"]) == e["size"],
                  f"extensions[{pos}].projection", "must be a list of length size")
+        _require(isinstance(e["action"], dict), f"extensions[{pos}].action",
+                 "must be an object with one permutation per generator letter")
+        for key in (letters_to_str((x,)) for x in range(1, group.rank + 1)):
+            perm = e["action"].get(key)
+            _require(isinstance(perm, list) and all(is_int(v) for v in perm)
+                     and sorted(perm) == list(range(1, e["size"] + 1)),
+                     f"extensions[{pos}].action.{key}", "must list a permutation of 1..size")
 
     return Scenario(
         name=data["name"],
@@ -213,14 +220,7 @@ class ScenarioObjects:
         out = []
         group = self.scenario.group
         for cand in self.scenario.extensions:
-            perms = []
-            for x in range(1, group.rank + 1):
-                key = letters_to_str((x,))
-                if key not in cand["action"]:
-                    raise ScenarioError(
-                        f"extensions[{cand['name']}].action.{key}: missing"
-                    )
-                perms.append(tuple(cand["action"][key]))
+            perms = [cand["action"][letters_to_str((x,))] for x in range(1, group.rank + 1)]
             space = FiniteSpace.make(group, cand["size"], perms)
             n = self.base_space.size
             if not all(is_int(v) and 1 <= v <= n for v in cand["projection"]):

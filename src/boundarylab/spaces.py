@@ -5,10 +5,10 @@ Boundary points are the eventually periodic infinite reduced words
 ``prefix . period . period . ...``, stored in a unique normal form so that
 equality is decidable and every action is exact (no truncation anywhere).
 
-Induced points are pairs ``(coset index, fiber point)``.  A group element
-moves the coset by the left action and moves the fiber through the coset
-cocycle: the fiber coordinate is hit by the inverse cocycle value, rewritten
-into the fiber free group when the fiber is a boundary.
+Induced points are pairs ``(coset index, fiber point)``, the fiber being the
+boundary of the subgroup's Schreier basis.  A group element moves the coset
+by the left action and moves the fiber through the coset cocycle: the fiber
+coordinate is hit by ``beta(g, i) = t_j^-1 g t_i`` rewritten in the basis.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .cosets import (
     CosetTable,
     SchreierBasis,
     SubgroupHandle,
-    _cocycle_step,
     eval_in_ambient,
     rewrite_in_basis,
 )
@@ -284,8 +283,11 @@ class InducedSpace:
     """Points (coset index, fiber point) under the cocycle-twisted action."""
 
     table: CosetTable
-    basis: Optional[SchreierBasis]
-    fiber: Union[BoundarySpace, FiniteSpace]
+    basis: SchreierBasis
+
+    @property
+    def fiber(self) -> BoundarySpace:
+        return BoundarySpace(self.basis.rank)
 
     @property
     def ambient(self):
@@ -297,12 +299,10 @@ class InducedSpace:
 
     def act(self, gamma: Word, point) -> tuple:
         i, y = point
-        j, lam = _cocycle_step(self.table, gamma, i)
-        lam_inv = lam.inverse()
-        if isinstance(self.fiber, BoundarySpace):
-            letters = rewrite_in_basis(self.table, self.basis, lam_inv).letters
-            return (j, boundary_act(letters, y))
-        return (j, self.fiber.act(lam_inv, y))
+        gt = gamma * self.table.rep(i)
+        j = self.table.coset_of(gt)
+        beta = self.table.rep(j).inverse() * gt
+        return (j, boundary_act(rewrite_in_basis(self.table, self.basis, beta).letters, y))
 
     def lift(self, i: int, w: Word) -> Word:
         """The ambient element t_i w t_i^-1 for a fiber word w: it fixes coset
@@ -313,27 +313,20 @@ class InducedSpace:
 
 def induced_space(table: CosetTable, basis: SchreierBasis) -> InducedSpace:
     """The boundary of the subgroup's free basis, induced over the coset space."""
-    return InducedSpace(table, basis, BoundarySpace(basis.rank))
+    return InducedSpace(table, basis)
 
 
 def parse_induced_point(s: str):
-    """Parse the ``"(i, prefix|period)"`` serialization (finite fibers use
-    ``"(i, y)"`` with an integer fiber point)."""
+    """Parse the ``"(i, prefix|period)"`` serialization."""
     t = s.strip()
     if not (t.startswith("(") and t.endswith(")")):
         raise ValueError(f"induced point must look like '(i, prefix|period)': {s!r}")
-    body = t[1:-1]
-    idx, _, rest = body.partition(",")
-    rest = rest.strip()
-    if "|" in rest:
-        return (int(idx.strip()), parse_boundary_point(rest))
-    return (int(idx.strip()), int(rest))
+    idx, _, rest = t[1:-1].partition(",")
+    return (int(idx.strip()), parse_boundary_point(rest.strip()))
 
 
 def induced_point_to_str(point) -> str:
     i, y = point
-    if isinstance(y, int):
-        return f"({i}, {y})"
     return f"({i}, {y.to_str()})"
 
 

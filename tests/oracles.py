@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from boundarylab.cosets import InfiniteIndexError, _canonicalize, _cocycle_step, _find
-from boundarylab.spaces import InducedSpace
+from boundarylab.cosets import InfiniteIndexError, _canonicalize, _find, rewrite_in_basis
+from boundarylab.spaces import InducedSpace, boundary_act
 from boundarylab.words import BudgetExceededError, _letter_rank, alphabet
 
 
@@ -93,6 +93,20 @@ def sorted_shortlex_bfs(ctx, base, step, max_nodes=None):
     return reps
 
 
+def four_step_act(space, gamma, point):
+    """The induced action by way of the cocycle: lam = (gamma t_i)^-1 t_j as
+    Word products, inverted, checked to fix coset 1, rewritten in the basis,
+    and applied to the fiber point."""
+    i, y = point
+    table = space.table
+    gt = gamma * table.rep(i)
+    j = table.coset_of(gt)
+    lam = gt.inverse() * table.rep(j)
+    lam_inv = lam.inverse()
+    assert table.coset_of(lam_inv) == 1
+    return (j, boundary_act(rewrite_in_basis(table, space.basis, lam_inv).letters, y))
+
+
 class FrozenFiberSpace(InducedSpace):
     """An induced space with the fiber motion ablated, as a control: the coset
     still moves but the fiber coordinate never does, so no non-trivial fiber
@@ -100,4 +114,4 @@ class FrozenFiberSpace(InducedSpace):
 
     def act(self, gamma, point):
         i, y = point
-        return (_cocycle_step(self.table, gamma, i)[0], y)
+        return (self.table.coset_of(gamma * self.table.rep(i)), y)

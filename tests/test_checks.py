@@ -8,7 +8,6 @@ from boundarylab import (
     ExtensionMap,
     FiniteSpace,
     FreeGroup,
-    InducedSpace,
     amenable_size_check,
     atomic_measure,
     boundary_point,
@@ -158,14 +157,6 @@ def test_contract_rejects_finite_space(s3_space):
         contract_measure(nu, 5, 10)
 
 
-def test_contract_rejects_finite_fiber(s3_table):
-    fiber = FiniteSpace.make(s3_table.ambient, 2, ((2, 1), (1, 2)))
-    space = InducedSpace(s3_table, None, fiber)
-    nu = dirac(space, (1, 1))
-    with pytest.raises(ValueError):
-        contract_measure(nu, 5, 10, strategy="greedy-ball")
-
-
 def test_contract_validates_parameters():
     nu = dirac(Y2, A_INF)
     with pytest.raises(ValueError):
@@ -177,7 +168,7 @@ def test_contract_validates_parameters():
 
 
 def test_disabled_fiber_action_never_contracts(index2_table, index2_basis):
-    frozen = FrozenFiberSpace(index2_table, index2_basis, BoundarySpace(3))
+    frozen = FrozenFiberSpace(index2_table, index2_basis)
     y1, y2 = boundary_point((), (1,)), boundary_point((), (2,))
     nu = atomic_measure(frozen, [((2, y1), Fraction(1, 2)), ((2, y2), Fraction(1, 2))])
     assert contract_measure(nu, 5, 32, strategy="fiber-lift") is None
@@ -290,7 +281,7 @@ def test_contraction_lifting_disabled_fiber_control(index2_table, index2_basis):
     # with the fiber action ablated, the obligations cannot discharge
     from boundarylab.spaces import induced_extension
 
-    frozen = FrozenFiberSpace(index2_table, index2_basis, BoundarySpace(3))
+    frozen = FrozenFiberSpace(index2_table, index2_basis)
     phi = induced_extension(frozen)
     report = check_contraction_lifting(phi, max_atoms=3, samples=6, seed=5,
                                        target_depth=8, budget=24, depth=1, radius=3)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import merge_fold_enumerate
+from oracles import four_step_act, merge_fold_enumerate
 
 from boundarylab import (
     BudgetExceededError,
@@ -17,6 +17,7 @@ from boundarylab import (
     eval_in_ambient,
     generator,
     identity,
+    induced_space,
     parse_word,
     permutation_of,
     rewrite_in_basis,
@@ -25,6 +26,7 @@ from boundarylab import (
     subgroup,
     word,
 )
+from boundarylab.checks import sample_boundary_point
 from boundarylab.words import alphabet, ball, cached_ball, reduce_letters
 
 F2 = FreeGroup(2)
@@ -109,14 +111,18 @@ def test_kernel_index_512():
         enumerate_cosets(subgroup(F2, conjugates))
 
 
+ALL_MODES = ("stabilizer", "extended", "dropped", "random")
+
+
 @st.composite
-def generator_sets(draw):
+def generator_sets(draw, min_rank=1, modes=ALL_MODES):
     """(subgroup, max_cosets): the stabilizer of point 0 under a random action
     of F_k on at most 6 points (Schreier generators, finite index), as is, with
     random words added, with generators dropped (often infinite index), or
-    random words only; max_cosets is sometimes below the orbit size."""
+    random words only; max_cosets is sometimes below the orbit size.  The
+    first two modes always give a subgroup of finite index."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    ctx = FreeGroup(rng.randint(1, 3))
+    ctx = FreeGroup(rng.randint(min_rank, 3))
     m = rng.randint(1, 6)
     perms = [rng.sample(range(m), m) for _ in range(ctx.rank)]
 
@@ -136,7 +142,7 @@ def generator_sets(draw):
         for i in orbit
         for x in range(1, ctx.rank + 1)
     ]
-    mode = rng.choice(("stabilizer", "extended", "dropped", "random"))
+    mode = rng.choice(modes)
     if mode == "dropped":
         gens = rng.sample(gens, max(0, len(gens) - rng.randint(1, 2)))
     elif mode == "random":
@@ -213,12 +219,12 @@ def test_cocycle_uniqueness_brute_force(index2_table, index2_basis):
                 assert len([h for h in hits]) == 1
 
 
-def test_cocycle_composition_order(index2_table, index3_table, index1_table):
+def test_cocycle_composition_order(index2_table, index3_table, index1_table, s3_table):
     # the product rule the implemented cocycle satisfies, exactly
-    for table in (index2_table, index3_table, index1_table):
+    for table in (index2_table, index3_table, index1_table, s3_table):
         base = FiniteSpace.from_coset_table(table)
-        for g1 in cached_ball(F2, 2):
-            for g2 in cached_ball(F2, 2):
+        for g1 in cached_ball(table.ambient, 2):
+            for g2 in cached_ball(table.ambient, 2):
                 for i in range(1, table.size + 1):
                     lhs = cocycle(table, g1 * g2, i)
                     rhs = cocycle(table, g2, i) * cocycle(table, g1, base.act(g2, i))
@@ -302,6 +308,49 @@ def test_rewrite_homomorphism(ls1, ls2):
     lhs = rewrite_in_basis(table, basis, lam1 * lam2)
     rhs = rewrite_in_basis(table, basis, lam1) * rewrite_in_basis(table, basis, lam2)
     assert lhs == rhs
+
+
+def _random_word(rng, ctx, max_len=12):
+    return word(ctx, [rng.choice(alphabet(ctx)) for _ in range(rng.randint(0, max_len))])
+
+
+def _f2_subgroup(*gens):
+    return subgroup(F2, [parse_word(F2, s) for s in gens]), 1024
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.sampled_from((_f2_subgroup("aa", "b", "abA"),
+                                  _f2_subgroup("aaa", "b", "abA", "aabAA"))),
+                 generator_sets(min_rank=2, modes=("stabilizer", "extended"))),
+       st.integers(0, 2**32))
+def test_act_matches_four_step_oracle(case, seed):
+    # f2-index2, f2-index3 and random finite-index subgroups of F2/F3: the
+    # one-pass action equals the cocycle route, for words of length <= 12
+    table = enumerate_cosets(case[0])
+    space = induced_space(table, schreier_basis(table))
+    rng = random.Random(seed)
+    for _ in range(20):
+        gamma = _random_word(rng, table.ambient)
+        point = (rng.randint(1, table.size), sample_boundary_point(rng, space.basis.rank))
+        assert space.act(gamma, point) == four_step_act(space, gamma, point)
+
+
+@settings(max_examples=200)
+@given(generator_sets(modes=("stabilizer", "extended")), st.integers(0, 2**32))
+def test_rewrite_raises_iff_not_a_member(case, seed):
+    table = enumerate_cosets(case[0])
+    basis = schreier_basis(table)
+    rng = random.Random(seed)
+    for _ in range(20):
+        w = _random_word(rng, table.ambient)
+        if rng.random() < 0.5:  # a member, as a product of basis words
+            w = eval_in_ambient(basis, _random_word(rng, basis.free_group()))
+        try:
+            back = eval_in_ambient(basis, rewrite_in_basis(table, basis, w))
+        except ValueError:
+            assert table.coset_of(w) != 1
+        else:
+            assert table.coset_of(w) == 1 and back == w
 
 
 def test_cocycle_against_independent_form(index2_table, index3_table):

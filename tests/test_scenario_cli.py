@@ -197,6 +197,17 @@ def _with_extension(**changes):
     ({**SMALL_SCENARIO, "seed": True}, "seed"),
     ({**SMALL_SCENARIO, "depths": [1]}, "depths"),
     ({**SMALL_SCENARIO, "budgets": "x"}, "budgets"),
+    (_with_extension(action="ab"), "extensions[0].action"),
+    (_with_extension(action={"a": None, "b": [2, 3, 1, 5, 6, 4]}), "extensions[0].action.a"),
+    (_with_extension(action={"a": [1, 3, 2, 4, 6, 5], "b": [2, 3, None, 5, 6, 4]}),
+     "extensions[0].action.b"),
+    (_with_extension(action={"a": [1.0, 3, 2, 4, 6, 5], "b": [2, 3, 1, 5, 6, 4]}),
+     "extensions[0].action.a"),
+    (_with_extension(action={"a": [[1], 3, 2, 4, 6, 5], "b": [2, 3, 1, 5, 6, 4]}),
+     "extensions[0].action.a"),
+    (_with_extension(action={"a": [True, 3, 2, 4, 6, 5], "b": [2, 3, 1, 5, 6, 4]}),
+     "extensions[0].action.a"),
+    (_with_extension(action={"a": [1, 3, 2, 4, 6, 5]}), "extensions[0].action.b"),
 ])
 def test_cli_malformed_field_exits_2(tmp_path, capsys, scenario, fieldname):
     path = tmp_path / "malformed.json"
@@ -219,24 +230,39 @@ def _tamper_certificate(key, value):
     return tamper
 
 
+def _tamper_point(point):
+    def tamper(report):
+        entry = _first_certificate(report)
+        assert entry["certificate"]["steps"]  # so that replay acts on the point
+        entry["measure"][0]["point"] = point
+        return report
+    return tamper
+
+
 ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "1/2"}]
 
 
-@pytest.mark.parametrize("command, tamper", [
-    ("replay", lambda r: [r]),
-    ("replay", lambda r: {k: v for k, v in r.items() if k != "scenario"}),
-    ("replay", lambda r: {k: v for k, v in r.items() if k != "checks"}),
-    ("replay", _tamper_certificate("steps", 3)),
-    ("replay", _tamper_certificate("measure", "(2, |a)")),
-    ("replay", _tamper_certificate("achieved_depth", "8")),
-    ("contract", lambda _: ATOMS),
-    ("contract", lambda _: {"space": "induced"}),
-    ("contract", lambda _: {"atoms": [{"point": "(2, |a)"}]}),
-    ("contract", lambda _: {"atoms": "(2, |a)"}),
+@pytest.mark.parametrize("command, tamper, fieldname", [
+    ("replay", lambda r: [r], "<root>"),
+    ("replay", lambda r: {k: v for k, v in r.items() if k != "scenario"}, "scenario"),
+    ("replay", lambda r: {k: v for k, v in r.items() if k != "checks"}, "checks"),
+    ("replay", _tamper_certificate("steps", 3), "steps"),
+    ("replay", _tamper_certificate("measure", "(2, |a)"), "measure"),
+    ("replay", _tamper_certificate("achieved_depth", "8"), "achieved_depth"),
+    ("contract", lambda _: ATOMS, "measure"),
+    ("contract", lambda _: {"space": "induced"}, "atoms"),
+    ("contract", lambda _: {"atoms": [{"point": "(2, |a)"}]}, "measure"),
+    ("contract", lambda _: {"atoms": "(2, |a)"}, "measure"),
+    ("contract", lambda _: {"atoms": [{"point": "(5, |a)", "weight": "1"}]}, "point"),
+    ("replay", _tamper_point("(9, |a)"), "point"),
+    ("replay", _tamper_point("(-1, |a)"), "point"),
+    ("contract", lambda _: {"atoms": [{"point": "(2, 5)", "weight": "1"}]}, "point"),
+    ("contract", lambda _: {"atoms": [{"point": "(2, |a)", "weight": "1/0"}]}, "weight"),
 ], ids=["report-list", "no-scenario", "no-checks", "int-steps", "str-measure",
         "str-achieved-depth", "bare-atom-list", "no-atoms", "atom-without-weight",
-        "str-atoms"])
-def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper):
+        "str-atoms", "coset-above-index", "replay-coset-above-index",
+        "replay-negative-coset", "integer-fiber-point", "zero-denominator-weight"])
+def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper, fieldname):
     report = json.loads(report_json_text(run_scenario(scenario_from_dict(SMALL_SCENARIO))))
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(tamper(report)))
@@ -246,7 +272,9 @@ def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper
     else:
         argv = ["contract", tiny_path, "--measure", str(path)]
     assert main(argv) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fieldname in err
+    assert "Traceback" not in err
 
 
 def test_cli_usage_error():

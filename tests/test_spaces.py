@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from boundarylab import (
     EQUAL,
     BoundaryPoint,
-    BoundarySpace,
     ExtensionMap,
     FiniteSpace,
     FreeGroup,
@@ -289,36 +288,8 @@ def test_fiber_invariance_ambient_ball(index2_induced):
             assert index2_induced.act(w, (i, y))[0] == i
 
 
-def test_induced_with_finite_fiber(s3_table):
-    # the same induced-action formula, with a finite fiber acted on letterwise
-    from boundarylab import InducedSpace
-
-    ctx = s3_table.ambient
-    fiber = FiniteSpace.make(ctx, 2, ((2, 1), (1, 2)))
-    space = InducedSpace(s3_table, None, fiber)
-    rng = random.Random(6)
-    B = ball(ctx, 3)
-    for _ in range(200):
-        g1, g2 = rng.choice(B), rng.choice(B)
-        p = (rng.randint(1, 3), rng.randint(1, 2))
-        assert space.act(identity(ctx), p) == p
-        assert space.act(g1 * g2, p) == space.act(g1, space.act(g2, p))
-    # push-forward and serialization work with integer fiber points
-    from boundarylab import pushforward_group
-    from boundarylab.measures import measure_from_json, measure_to_json
-    from fractions import Fraction
-
-    nu = __import__("boundarylab").atomic_measure(
-        space, [((1, 1), Fraction(1, 2)), ((2, 2), Fraction(1, 2))]
-    )
-    image = pushforward_group(parse_word(ctx, "ab"), nu)
-    assert image.mass() == 1
-    assert measure_from_json(space, measure_to_json(nu)) == nu
-    assert parse_induced_point("(2, 1)") == (2, 1)
-
-
 def test_disabled_fiber_action_is_still_an_action(index2_table, index2_basis):
-    frozen = FrozenFiberSpace(index2_table, index2_basis, BoundarySpace(3))
+    frozen = FrozenFiberSpace(index2_table, index2_basis)
     rng = random.Random(2)
     B = cached_ball(F2, 3)
     for _ in range(100):
