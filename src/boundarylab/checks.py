@@ -198,19 +198,63 @@ def replay(nu: AtomicMeasure, cert: ContractionCertificate):
 
 
 def _push_through(nu: AtomicMeasure, steps):
-    """(final measure, depth, coset) after pushing nu through the steps in order."""
-    cur = nu
-    for step in steps:
-        cur = pushforward_group(step, cur)
+    """(final measure, depth, coset) after pushing nu through the steps in order.
+
+    The space action is a group action, so one push by the product of the
+    steps gives the same measure as one push per step.
+    """
+    cur = pushforward_group(_steps_product(steps), nu) if steps else nu
     depth, coset = concentration(cur)
     return cur, depth, coset
 
 
+def _steps_product(steps: Sequence[Word]) -> Word:
+    """The element s_k ... s_1 that applying s_1, .., s_k in order amounts to,
+    freely reduced in one pass over the reversed steps."""
+    ctx = steps[0].ctx
+    letters: list[int] = []
+    for s in reversed(steps):
+        if s.ctx != ctx:
+            raise ValueError("cannot multiply words from mismatched group contexts")
+        letters.extend(s.letters)
+    return Word(ctx, reduce_letters(letters))
+
+
 # -- contraction strategies ---------------------------------------------------------
+
+def _axis_exponent(p: BoundaryPoint):
+    """e with p = a^e . s, s not starting with a^+-1 (a the first generator);
+    EQUAL (infinity) for the attracting end a^+inf.  The repelling end a^-inf
+    has no such split."""
+    run = 0
+    head = p.expand(len(p.prefix) + len(p.period))
+    for l in head:
+        if abs(l) != 1:
+            return run if head[0] == 1 else -run
+        run += 1
+    return EQUAL
+
+
+def _axis_pair_depth(k: int, e1, e2, depth):
+    """Common-prefix depth of a^k . x1 and a^k . x2, from their axis exponents
+    and their current depth: a^k . (a^e . s) = a^(k+e) . s is reduced."""
+    if e1 == e2:
+        return depth if depth == EQUAL else abs(k + e1) + depth - abs(e1)
+    f1, f2 = k + e1, k + e2
+    if (f1 > 0 and f2 > 0) or (f1 < 0 and f2 < 0):
+        return min(abs(f1), abs(f2))
+    return 0
+
 
 def _axis_power_steps(points, rank: int, target: int, budget: int):
     """Powers of the first generator, preceded by one perturbing element when
     some point sits at the generator's repelling end.  Returns rank-r words.
+
+    The power is the least k within the budget whose a^k concentrates the
+    points to the target depth.  Each pair's depth after k steps has a closed
+    form (:func:`_axis_pair_depth`), so no point is moved to count k.  That
+    depth is not monotone in k while leading a^-1 runs cancel, so every k is
+    tried in order.
     """
     ctx = FreeGroup(rank)
     g = Word(ctx, (1,))
@@ -232,13 +276,12 @@ def _axis_power_steps(points, rank: int, target: int, budget: int):
             return None
         steps.append(perturb)
         pts = [boundary_act(perturb.letters, p) for p in pts]
-    while True:
-        if _points_depth(pts) >= target:
-            return steps
-        if len(steps) >= budget:
-            return None
-        steps.append(g)
-        pts = [boundary_act(g.letters, p) for p in pts]
+    e0 = _axis_exponent(pts[0])
+    pairs = [(_axis_exponent(q), common_prefix_depth(pts[0], q)) for q in pts[1:]]
+    for k in range(budget - len(steps) + 1):
+        if all(_axis_pair_depth(k, e0, e, d) >= target for e, d in pairs):
+            return steps + [g] * k
+    return None
 
 
 def contract_measure(
@@ -309,7 +352,8 @@ def _contract_fiber_lift(nu, target, budget):
     fsteps = _axis_power_steps(fiber_pts, space.fiber.rank, target, budget)
     if fsteps is None:
         return None
-    return [space.lift(i, w) for w in fsteps]
+    lifts = {w: space.lift(i, w) for w in set(fsteps)}  # at most two distinct steps
+    return [lifts[w] for w in fsteps]
 
 
 def _contract_greedy(nu, target, budget):
@@ -344,10 +388,7 @@ def certificate_element(cert: ContractionCertificate) -> Optional[Word]:
     """
     if not cert.steps:
         return None
-    out = cert.steps[-1]
-    for s in reversed(cert.steps[:-1]):
-        out = out * s
-    return out
+    return _steps_product(cert.steps)
 
 
 def steer_into_cylinder(nu: AtomicMeasure, cylinder: tuple[int, ...]) -> Word:

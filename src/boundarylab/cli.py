@@ -148,8 +148,8 @@ def _cmd_contract(args) -> int:
     else:
         raise ScenarioError("measure.space: must be 'induced' or 'fiber'")
     nu = measure_from_json(space, mdata["atoms"])
-    target = args.target_depth or scenario.depths["target"]
-    steps = args.steps or scenario.budgets["steps"]
+    target = scenario.depths["target"] if args.target_depth is None else args.target_depth
+    steps = scenario.budgets["steps"] if args.steps is None else args.steps
     strategy = args.strategy
     if space_name == "fiber" and strategy == "fiber-lift":
         strategy = "axis-power"

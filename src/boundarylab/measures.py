@@ -280,10 +280,16 @@ def point_from_json(space, data):
     if not isinstance(data, str):
         raise ValueError(f"point: must be a string, not {data!r}")
     if isinstance(space, BoundarySpace):
-        return parse_boundary_point(data)
-    point = parse_induced_point(data)
-    if not 1 <= point[0] <= space.size:
-        raise ValueError(f"point: coset of {data!r} must lie in 1..{space.size}")
+        point = y = parse_boundary_point(data)
+        rank = space.rank
+    else:
+        point = parse_induced_point(data)
+        if not 1 <= point[0] <= space.size:
+            raise ValueError(f"point: coset of {data!r} must lie in 1..{space.size}")
+        y = point[1]
+        rank = space.fiber.rank
+    if max(map(abs, y.prefix + y.period)) > rank:
+        raise ValueError(f"point: {data!r} uses a letter above rank {rank}")
     return point
 
 

@@ -81,37 +81,48 @@ def _divisors(n: int) -> list[int]:
 
 
 def boundary_point(prefix, period) -> BoundaryPoint:
-    """Normalize a (prefix, period) pair into a :class:`BoundaryPoint`."""
+    """Normalize a (prefix, period) pair into a :class:`BoundaryPoint`.
+
+    Each stage counts the letters it moves by index, then slices the prefix
+    and rotates the period once, so the cost is linear in the input length.
+    """
     prefix = reduce_letters(prefix)
     period = reduce_letters(period)
     if not period:
         raise ValueError("period must reduce to a nontrivial word")
 
-    # cyclic reduction: period = s c s^-1 contributes s to the prefix
-    shell: list[int] = []
-    while len(period) >= 2 and period[0] == -period[-1]:
-        shell.append(period[0])
-        period = period[1:-1]
-    if not period:
-        raise ValueError("period is conjugate to the identity")
-    prefix = reduce_letters(prefix + tuple(shell))
+    # cyclic reduction: period = s c s^-1 contributes s to the prefix (a
+    # reduced period keeps at least one letter)
+    n = len(period)
+    s = 0
+    while n - 2 * s >= 2 and period[s] == -period[n - 1 - s]:
+        s += 1
+    prefix = reduce_letters(prefix + period[:s])
+    period = period[s:n - s]
 
     # rotate the period into the prefix while the seam cancels
-    while prefix and prefix[-1] == -period[0]:
-        prefix = prefix[:-1]
-        period = period[1:] + period[:1]
+    n = len(period)
+    c = 0
+    while c < len(prefix) and prefix[-1 - c] == -period[c % n]:
+        c += 1
+    prefix = prefix[:len(prefix) - c]
+    c %= n
+    period = period[c:] + period[:c]
 
     # primitive root
-    n = len(period)
     for d in _divisors(n):
         if period == period[:d] * (n // d):
             period = period[:d]
             break
 
     # shortest prefix: strip trailing letters that extend the periodic tail
-    while prefix and prefix[-1] == period[-1]:
-        prefix = prefix[:-1]
-        period = period[-1:] + period[:-1]
+    n = len(period)
+    t = 0
+    while t < len(prefix) and prefix[-1 - t] == period[-1 - t % n]:
+        t += 1
+    prefix = prefix[:len(prefix) - t]
+    t %= n
+    period = period[n - t:] + period[:n - t]
 
     return BoundaryPoint(prefix, period)
 

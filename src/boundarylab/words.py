@@ -116,12 +116,8 @@ class Word:
         return Word(self.ctx, tuple(-l for l in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Word(self.ctx, ())
-        for _ in range(n):
-            out = out * self
-        return out
+        base = self if n >= 0 else self.inverse()
+        return Word(self.ctx, reduce_letters(base.letters * abs(n)))
 
     def to_str(self) -> str:
         return letters_to_str(self.letters)

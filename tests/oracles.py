@@ -9,9 +9,19 @@ from __future__ import annotations
 
 from collections import deque
 
+from boundarylab.checks import _points_depth, concentration
 from boundarylab.cosets import InfiniteIndexError, _canonicalize, _find, rewrite_in_basis
-from boundarylab.spaces import InducedSpace, boundary_act
-from boundarylab.words import BudgetExceededError, _letter_rank, alphabet
+from boundarylab.measures import pushforward_group
+from boundarylab.spaces import BoundaryPoint, InducedSpace, _divisors, boundary_act, boundary_point
+from boundarylab.words import (
+    BudgetExceededError,
+    FreeGroup,
+    Word,
+    _letter_rank,
+    alphabet,
+    cached_ball,
+    reduce_letters,
+)
 
 
 def merge_fold_enumerate(sub, max_cosets):
@@ -115,3 +125,73 @@ class FrozenFiberSpace(InducedSpace):
     def act(self, gamma, point):
         i, y = point
         return (self.table.coset_of(gamma * self.table.rep(i)), y)
+
+
+def sliced_boundary_point(prefix, period):
+    """Boundary normal form one letter at a time: every seam cancellation and
+    every stripped tail letter slices the prefix and rotates the period
+    (quadratic in the prefix length)."""
+    prefix = reduce_letters(prefix)
+    period = reduce_letters(period)
+    if not period:
+        raise ValueError("period must reduce to a nontrivial word")
+    shell: list[int] = []
+    while len(period) >= 2 and period[0] == -period[-1]:
+        shell.append(period[0])
+        period = period[1:-1]
+    if not period:
+        raise ValueError("period is conjugate to the identity")
+    prefix = reduce_letters(prefix + tuple(shell))
+    while prefix and prefix[-1] == -period[0]:
+        prefix = prefix[:-1]
+        period = period[1:] + period[:1]
+    n = len(period)
+    for d in _divisors(n):
+        if period == period[:d] * (n // d):
+            period = period[:d]
+            break
+    while prefix and prefix[-1] == period[-1]:
+        prefix = prefix[:-1]
+        period = period[-1:] + period[:-1]
+    return BoundaryPoint(prefix, period)
+
+
+def stepwise_axis_power_steps(points, rank, target, budget):
+    """Axis-power search by acting with the first generator one step at a
+    time and re-measuring the depth of every point after each step."""
+    ctx = FreeGroup(rank)
+    g = Word(ctx, (1,))
+    repelling = boundary_point((), (-1,))
+    pts = list(points)
+    steps: list[Word] = []
+    if any(p == repelling for p in pts):
+        perturb = None
+        for radius in (1, 2, 3):
+            for cand in cached_ball(ctx, radius):
+                if cand.is_identity:
+                    continue
+                if all(boundary_act(cand.letters, p) != repelling for p in pts):
+                    perturb = cand
+                    break
+            if perturb is not None:
+                break
+        if perturb is None:
+            return None
+        steps.append(perturb)
+        pts = [boundary_act(perturb.letters, p) for p in pts]
+    while True:
+        if _points_depth(pts) >= target:
+            return steps
+        if len(steps) >= budget:
+            return None
+        steps.append(g)
+        pts = [boundary_act(g.letters, p) for p in pts]
+
+
+def stepwise_push_through(nu, steps):
+    """(final measure, depth, coset) after one push-forward per step, in order."""
+    cur = nu
+    for step in steps:
+        cur = pushforward_group(step, cur)
+    depth, coset = concentration(cur)
+    return cur, depth, coset

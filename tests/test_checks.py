@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import boundarylab
 from boundarylab import (
     BoundarySpace,
     ExtensionMap,
@@ -20,19 +23,24 @@ from boundarylab import (
     dirac,
     finite_contractible,
     generator,
+    induced_space,
     parse_word,
     replay,
+    schreier_basis,
 )
 from boundarylab.checks import (
     ContractionCertificate,
+    _axis_power_steps,
+    _push_through,
     certificate_element,
     concentration,
     sample_boundary_measure,
+    sample_boundary_point,
     sample_fiber_measure,
     steer_into_cylinder,
 )
 from boundarylab.measures import CylinderFunction, isometry_defect
-from oracles import FrozenFiberSpace
+from oracles import FrozenFiberSpace, stepwise_axis_power_steps, stepwise_push_through
 
 F2 = FreeGroup(2)
 Y2 = BoundarySpace(2)
@@ -186,6 +194,107 @@ def test_tampered_certificate_fails_replay(index2_induced):
     wrong_coset = ContractionCertificate(cert.steps, cert.achieved_depth,
                                          1 + (cert.limit_coset % 2), cert.limit_cylinder)
     assert not replay(nu, wrong_coset)[0]
+
+
+@st.composite
+def axis_points(draw):
+    """(rank, 1..5 distinct points): ends of the axis a, and points behind
+    leading runs of a^-1 (sometimes of a)."""
+    rank = draw(st.sampled_from([2, 3]))
+    alph = [l for i in range(1, rank + 1) for l in (i, -i)]
+    pts = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["repelling", "attracting", "run", "run", "run"]))
+        if kind == "repelling":
+            p = boundary_point((), (-1,))
+        elif kind == "attracting":
+            p = A_INF
+        else:
+            run = (draw(st.sampled_from([-1, -1, 1])),) * draw(st.integers(0, 8))
+            rest = draw(st.lists(st.sampled_from(alph), max_size=5))
+            period = draw(st.lists(st.sampled_from(alph), min_size=1, max_size=3))
+            try:
+                p = boundary_point(run + tuple(rest), period)
+            except ValueError:
+                continue
+        if p not in pts:
+            pts.append(p)
+    if not pts:
+        pts.append(A_INF)
+    return rank, pts
+
+
+@given(axis_points(), st.integers(1, 40))
+def test_axis_power_search_matches_stepwise_oracle(case, target):
+    rank, pts = case
+    answer = stepwise_axis_power_steps(pts, rank, target, 120)
+    budgets = {1, 120}
+    if answer is not None:  # both sides of the answer
+        budgets |= {max(1, len(answer) - 1), len(answer), len(answer) + 1}
+    for budget in sorted(budgets):
+        assert _axis_power_steps(pts, rank, target, budget) == \
+            stepwise_axis_power_steps(pts, rank, target, budget)
+
+
+@pytest.fixture(scope="module", params=["index2", "index3"])
+def induced(request):
+    table = request.getfixturevalue(f"{request.param}_table")
+    return induced_space(table, schreier_basis(table))
+
+
+@given(seed=st.integers(0, 2**16),
+       strategy=st.sampled_from(["fiber-lift", "axis-power", "greedy-ball", "random"]))
+def test_push_through_matches_stepwise_oracle(induced, seed, strategy):
+    rng = random.Random(seed)
+    rank = induced.fiber.rank
+    space = induced.fiber if strategy == "axis-power" else induced
+    coset = rng.randint(1, induced.size)
+    pts = [sample_boundary_point(rng, rank) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:  # the perturbing step leads the certificate
+        pts.append(boundary_point((), (-1,)))
+    pts = list(dict.fromkeys(pts))
+    if space is induced:
+        pts = [(coset, p) for p in pts]
+    nu = atomic_measure(space, [(p, Fraction(1, len(pts))) for p in pts])
+    if strategy == "random":
+        ctx = induced.ambient
+        steps = [parse_word(ctx, "abA"), parse_word(ctx, "bb"), parse_word(ctx, "Ba")]
+        rng.shuffle(steps)
+    else:
+        budget = 12 if strategy == "greedy-ball" else 64
+        cert = contract_measure(nu, 6 + seed % 10, budget, strategy=strategy)
+        steps = cert.steps if cert is not None else []
+    assert _push_through(nu, steps) == stepwise_push_through(nu, steps)
+
+
+def test_contract_and_replay_letters_grow_linearly_in_depth(index2_induced, monkeypatch):
+    """Letters passed to reduce_letters by a fiber-lift search and its replay
+    grow linearly in the target depth (a stepwise replay grows quadratically).
+    A count, not a timing, so the bound holds on any machine."""
+    original = boundarylab.words.reduce_letters
+    counted = [0]
+
+    def counting(letters):
+        letters = tuple(letters)
+        counted[0] += len(letters)
+        return original(letters)
+
+    for mod in (boundarylab, boundarylab.words, boundarylab.cosets, boundarylab.spaces,
+                boundarylab.measures, boundarylab.checks):
+        if getattr(mod, "reduce_letters", None) is original:
+            monkeypatch.setattr(mod, "reduce_letters", counting)
+    nu = atomic_measure(index2_induced, [
+        ((2, boundary_point((-1, -1, 2), (1,))), Fraction(1, 3)),
+        ((2, boundary_point((), (2,))), Fraction(1, 3)),
+        ((2, boundary_point((3, -2), (-3, 1))), Fraction(1, 3)),
+    ])
+    letters = []
+    for depth in (256, 1024):
+        counted[0] = 0
+        cert = contract_measure(nu, depth, 4 * depth, strategy="fiber-lift")
+        assert cert is not None and replay(nu, cert)[0]
+        letters.append(counted[0])
+    assert letters[1] <= 5 * letters[0]
 
 
 # -- finite orbit oracle -------------------------------------------------------------

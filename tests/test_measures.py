@@ -20,7 +20,7 @@ from boundarylab import (
     pushforward_map,
 )
 from boundarylab.checks import sample_boundary_point, sample_fiber_measure
-from boundarylab.measures import measure_from_json, measure_to_json
+from boundarylab.measures import measure_from_json, measure_to_json, point_from_json
 from boundarylab.words import cached_ball
 
 F2 = FreeGroup(2)
@@ -258,6 +258,21 @@ def test_measure_serialization_round_trip(index2_induced):
     assert back == nu
     nub = half_half()
     assert measure_from_json(Y2, measure_to_json(nub)) == nub
+
+
+@pytest.mark.parametrize("fiber, data", [
+    (True, "(1, |z)"), (True, "(2, d|a)"), (True, "(1, a|{27})"), (False, "c|a"), (False, "|bC"),
+])
+def test_point_letters_above_rank_rejected(index2_induced, fiber, data):
+    space = index2_induced if fiber else Y2
+    rank = 3 if fiber else 2
+    with pytest.raises(ValueError, match=rf"^point: .* above rank {rank}$"):
+        point_from_json(space, data)
+
+
+def test_point_letters_up_to_rank_accepted(index2_induced):
+    assert point_from_json(index2_induced, "(2, cA|C)")[1].to_str() == "cA|C"
+    assert point_from_json(Y2, "Ab|a").to_str() == "Ab|a"
 
 
 def test_poisson_on_induced_space(index2_induced):

@@ -258,10 +258,16 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
     ("replay", _tamper_point("(-1, |a)"), "point"),
     ("contract", lambda _: {"atoms": [{"point": "(2, 5)", "weight": "1"}]}, "point"),
     ("contract", lambda _: {"atoms": [{"point": "(2, |a)", "weight": "1/0"}]}, "weight"),
+    ("contract", lambda _: {"atoms": [{"point": "(1, |z)", "weight": "1/2"},
+                                      {"point": "(1, |b)", "weight": "1/2"}]}, "rank 3"),
+    ("contract", lambda _: {"space": "fiber",
+                            "atoms": [{"point": "d|a", "weight": "1/2"},
+                                      {"point": "|b", "weight": "1/2"}]}, "rank 3"),
 ], ids=["report-list", "no-scenario", "no-checks", "int-steps", "str-measure",
         "str-achieved-depth", "bare-atom-list", "no-atoms", "atom-without-weight",
         "str-atoms", "coset-above-index", "replay-coset-above-index",
-        "replay-negative-coset", "integer-fiber-point", "zero-denominator-weight"])
+        "replay-negative-coset", "integer-fiber-point", "zero-denominator-weight",
+        "induced-letter-above-fiber-rank", "fiber-letter-above-rank"])
 def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper, fieldname):
     report = json.loads(report_json_text(run_scenario(scenario_from_dict(SMALL_SCENARIO))))
     path = tmp_path / "tampered.json"
@@ -274,6 +280,22 @@ def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert fieldname in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--target-depth", "0", "target_depth must be >= 1"),
+    ("--target-depth", "-3", "target_depth must be >= 1"),
+    ("--steps", "0", "budget must be >= 1"),
+    ("--steps", "-3", "budget must be >= 1"),
+])
+def test_cli_contract_nonpositive_depth_or_steps_exits_2(tiny_path, tmp_path, capsys,
+                                                        flag, value, message):
+    mpath = tmp_path / "measure.json"
+    mpath.write_text(json.dumps({"atoms": ATOMS}))
+    assert main(["contract", tiny_path, "--measure", str(mpath), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
 
 

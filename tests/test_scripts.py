@@ -24,6 +24,12 @@ def test_script_runs(script):
     assert done.returncode == 0, done.stderr
 
 
+def test_contract_demo_deep_certificate():
+    done = _run("contract_demo.py", "--depth", "1024", "--steps", "4096")
+    assert done.returncode == 0, done.stderr
+    assert "replay: PASS" in done.stdout
+
+
 def test_run_all_scenarios_writes_every_report(tmp_path):
     done = _run("run_all_scenarios.py", "--out-dir", str(tmp_path))
     assert done.returncode == 0, done.stderr

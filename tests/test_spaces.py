@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boundarylab import (
@@ -33,7 +33,7 @@ from boundarylab.spaces import (
     induced_point_to_str,
 )
 from boundarylab.words import ball, cached_ball, reduce_letters
-from oracles import FrozenFiberSpace
+from oracles import FrozenFiberSpace, sliced_boundary_point
 
 F2 = FreeGroup(2)
 letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8)
@@ -66,6 +66,35 @@ def test_normal_form_examples():
         boundary_point((), (1, -1))
     with pytest.raises(ValueError):
         boundary_point((), ())
+
+
+@st.composite
+def tail_heavy_pair(draw):
+    """A (prefix, period) pair whose prefix ends in many copies of the period
+    or of its inverse, after a partial copy."""
+    alph = st.sampled_from([1, -1, 2, -2, 3, -3])
+    period = draw(st.lists(alph, min_size=1, max_size=5))
+    copy = period if draw(st.booleans()) else [-l for l in reversed(period)]
+    head = draw(st.lists(alph, max_size=6))
+    cut = draw(st.integers(0, len(copy)))
+    prefix = head + copy[cut:] + copy * draw(st.integers(0, 12))
+    return prefix, period
+
+
+def _normal_form_or_error(normalize, pair):
+    try:
+        return normalize(*pair)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(st.one_of(tail_heavy_pair(), point_strategy))
+@example(((3, 2, 1, 2, 1, 2), (1, 2)))           # 5 tail letters: rotate by 1
+@example(((3, -2, -1, -3, -2, -1), (1, 2, 3)))  # 5 seam cancellations: rotate by 2
+def test_normal_form_matches_sliced_oracle(pair):
+    assert _normal_form_or_error(boundary_point, pair) == \
+        _normal_form_or_error(sliced_boundary_point, pair)
 
 
 @given(point_strategy)

@@ -109,6 +109,22 @@ def test_powers():
     assert (a ** 0).is_identity
 
 
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8), st.integers(-5, 5))
+def test_power_matches_repeated_product(ls, n):
+    w = word(F2, ls)
+    step = w if n >= 0 else w.inverse()
+    expected = identity(F2)
+    for _ in range(abs(n)):
+        expected = expected * step
+    assert w ** n == expected
+
+
+def test_power_of_word_that_is_not_cyclically_reduced():
+    w = parse_word(F2, "abA")
+    assert (w ** 3).to_str() == "abbbA"
+    assert (w ** -2).to_str() == "aBBA"
+
+
 def test_mismatched_contexts_raise():
     with pytest.raises(ValueError):
         generator(F2, 1) * generator(FreeGroup(3), 1)
