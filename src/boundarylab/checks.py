@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from .cosets import conjugate_subgroup, enumerate_cosets
 from .measures import (
     AtomicMeasure,
-    acting_ball,
     atomic_measure,
     is_fiber_supported,
     measure_to_json,
@@ -357,7 +356,7 @@ def _contract_fiber_lift(nu, target, budget):
 
 
 def _contract_greedy(nu, target, budget):
-    candidates = [w for w in acting_ball(nu.space, GREEDY_STEP_RADIUS) if not w.is_identity]
+    candidates = [w for w in cached_ball(nu.space.ambient, GREEDY_STEP_RADIUS) if not w.is_identity]
     cur = nu
     steps: list[Word] = []
     while True:
@@ -421,7 +420,7 @@ def steer_into_cylinder(nu: AtomicMeasure, cylinder: tuple[int, ...]) -> Word:
         )
         seps = (x, wl)
     letters = cylinder + seps + tuple(-v for v in reversed(w))
-    return Word(space.free_ctx, reduce_letters(letters))
+    return Word(space.ambient, reduce_letters(letters))
 
 
 # -- samplers -------------------------------------------------------------------------
@@ -540,7 +539,7 @@ def check_minimal_symbolic(space, depth: int, radius: int, samples: int, seed: i
         draw = lambda rng: sample_boundary_point(rng, space.rank)
         key = lambda p: p.expand(depth)
         key_str = letters_to_str
-    ballwords = acting_ball(space, radius, COVERAGE_BALL_CAP)
+    ballwords = cached_ball(space.ambient, radius, COVERAGE_BALL_CAP)
     evidence = []
     complete = True
     for idx in range(samples):
@@ -828,6 +827,8 @@ def decompose_fibers(
     translation by t_j t_i^-1 must carry fiber i to fiber j; stabilizer
     elements must fix the fiber setwise; and ball words of the conjugated
     subgroup must cover the depth-d fiber cylinders from sampled starts.
+    The coset of g.(i, y) is the coset of g t_i whatever y is, so transport
+    and setwise invariance are read once each, at one fixed fiber point.
     """
     if not isinstance(phi.source, InducedSpace):
         raise ValueError("fiber decomposition expects an induced source")
@@ -841,6 +842,7 @@ def decompose_fibers(
     rank = space.fiber.rank
     fiber_ctx = FreeGroup(rank)
     cyls = set(space.fiber.cylinders(depth))
+    y0 = boundary_point((), (1,))
     evidence = []
     all_ok = True
     coverage_ok = True
@@ -853,25 +855,12 @@ def decompose_fibers(
         tables_match = stab_table.to_json() == conj_table.to_json()
         index_ok = stab_table.size == n
 
+        transport_ok = all(space.act(table.rep(j) * t_i.inverse(), (i, y0))[0] == j
+                           for j in range(1, n + 1))
+        invariance_ok = all(space.act(space.lift(i, w), (i, y0))[0] == i
+                            for w in cached_ball(fiber_ctx, 2) if not w.is_identity)
+
         rng = random.Random(seed ^ i)
-        transport_ok = True
-        for j in range(1, n + 1):
-            mover = table.rep(j) * t_i.inverse()
-            for _ in range(samples):
-                y = sample_boundary_point(rng, rank)
-                if space.act(mover, (i, y))[0] != j:
-                    transport_ok = False
-
-        invariance_ok = True
-        for w in cached_ball(fiber_ctx, 2):
-            if w.is_identity:
-                continue
-            lam_i = space.lift(i, w)
-            for _ in range(2):
-                y = sample_boundary_point(rng, rank)
-                if space.act(lam_i, (i, y))[0] != i:
-                    invariance_ok = False
-
         hit = set()
         movers = [space.lift(i, w) for w in cached_ball(fiber_ctx, radius)]
         for _ in range(samples):

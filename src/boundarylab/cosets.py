@@ -1,5 +1,5 @@
-"""Finite-index subgroup machinery: coset tables, the coset cocycle, and
-Schreier rewriting.
+"""Finite point spaces and finite-index subgroup machinery: coset tables
+(the finite space of cosets), the coset cocycle, and Schreier rewriting.
 
 Conventions (used consistently across the package):
 
@@ -73,36 +73,70 @@ def conjugate_subgroup(sub: SubgroupHandle, t: Word) -> SubgroupHandle:
 
 
 @dataclass(frozen=True)
-class CosetTable:
-    """Complete left-coset structure of a finite-index subgroup.
+class FiniteSpace:
+    """Finite point space {1..size} with one permutation per ambient generator."""
 
-    ``fwd[x-1][i-1]`` is the coset of ``x . t_i H`` for positive letter x;
-    ``inv`` holds the inverse letters.  Immutable once built.
+    ambient: FreeGroup | PermutationGroup
+    size: int
+    letter_perms: tuple[tuple[int, ...], ...]
+    inverse_perms: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def make(cls, ambient, size: int, letter_perms, *fields) -> "FiniteSpace":
+        """Validate the letter permutations and derive their inverses; a
+        subclass passes its own ``fields`` after them."""
+        perms = tuple(tuple(p) for p in letter_perms)
+        if len(perms) != ambient.rank:
+            raise ValueError("need one permutation per ambient generator")
+        inverses = []
+        for p in perms:
+            if sorted(p) != list(range(1, size + 1)):
+                raise ValueError(f"not a permutation of 1..{size}: {p}")
+            inv = [0] * size
+            for x, y in enumerate(p, start=1):
+                inv[y - 1] = x
+            inverses.append(tuple(inv))
+        return cls(ambient, size, perms, tuple(inverses), *fields)
+
+    def act_letter(self, l: int, x: int) -> int:
+        if l > 0:
+            return self.letter_perms[l - 1][x - 1]
+        return self.inverse_perms[-l - 1][x - 1]
+
+    def act(self, w: Word, x: int) -> int:
+        """Image of point x under w; scans right to left (left action)."""
+        if w.ctx != self.ambient:
+            raise ValueError("word from a different context")
+        for l in reversed(w.letters):
+            x = self.act_letter(l, x)
+        return x
+
+    def points(self) -> range:
+        return range(1, self.size + 1)
+
+    def orbit(self, x: int) -> frozenset:
+        letters = alphabet(self.ambient)
+        return frozenset(closure(x, lambda p: (self.act_letter(l, p) for l in letters)))
+
+    def is_transitive(self) -> bool:
+        return len(self.orbit(1)) == self.size
+
+
+@dataclass(frozen=True)
+class CosetTable(FiniteSpace):
+    """The coset space of a finite-index subgroup, as a finite space.
+
+    Point i is the coset ``t_i H``: ``letter_perms[x-1][i-1]`` is the coset
+    of ``x . t_i H`` for positive letter x, ``inverse_perms`` holds the
+    inverse letters.  Immutable once built.
     """
 
     subgroup: SubgroupHandle
-    size: int
-    fwd: tuple[tuple[int, ...], ...]
-    inv: tuple[tuple[int, ...], ...]
     transversal: tuple[Word, ...]
 
-    @property
-    def ambient(self):
-        return self.subgroup.ambient
-
-    def act_letter(self, l: int, i: int) -> int:
-        if l > 0:
-            return self.fwd[l - 1][i - 1]
-        return self.inv[-l - 1][i - 1]
-
     def coset_of(self, w: Word) -> int:
-        """Coset number of w.H; scans right to left (left action)."""
-        if w.ctx != self.ambient:
-            raise ValueError("word from a different context")
-        c = 1
-        for l in reversed(w.letters):
-            c = self.act_letter(l, c)
-        return c
+        """Coset number of w.H."""
+        return self.act(w, 1)
 
     def rep(self, i: int) -> Word:
         return self.transversal[i - 1]
@@ -110,8 +144,8 @@ class CosetTable:
     def to_json(self) -> dict:
         action = {}
         for x in range(1, self.ambient.rank + 1):
-            action[letters_to_str((x,))] = list(self.fwd[x - 1])
-            action[letters_to_str((-x,))] = list(self.inv[x - 1])
+            action[letters_to_str((x,))] = list(self.letter_perms[x - 1])
+            action[letters_to_str((-x,))] = list(self.inverse_perms[x - 1])
         return {
             "index": self.size,
             "transversal": [t.to_str() for t in self.transversal],
@@ -250,24 +284,10 @@ def _canonicalize(sub, base, edge_fn, max_cosets=None) -> CosetTable:
     ordered = list(reps)
 
     num = {node: i + 1 for i, node in enumerate(ordered)}
-
-    def target(node, l):
-        return num[edge_fn(node, l)]
-
-    n = len(ordered)
-    fwd = tuple(
-        tuple(target(node, x) for node in ordered) for x in range(1, ctx.rank + 1)
-    )
-    inv = tuple(
-        tuple(target(node, -x) for node in ordered) for x in range(1, ctx.rank + 1)
-    )
-    for x in range(ctx.rank):
-        for i in range(n):
-            if inv[x][fwd[x][i] - 1] != i + 1:
-                raise AssertionError("letter actions are not mutually inverse")
+    perms = [[num[edge_fn(node, x)] for node in ordered] for x in range(1, ctx.rank + 1)]
     transversal = tuple(Word(ctx, reduce_letters(reps[node])) for node in ordered)
 
-    table = CosetTable(sub, n, fwd, inv, transversal)
+    table = CosetTable.make(ctx, len(ordered), perms, sub, transversal)
     for i, t in enumerate(transversal, start=1):
         if table.coset_of(t) != i:
             raise AssertionError("transversal inconsistency")

@@ -1,9 +1,11 @@
 """Finitely supported probability measures with exact push-forward, cylinder
 functions, and the ball-truncated Poisson transform.
 
-Weights are exact rationals by default (mass sums to 1 on the nose); floats
-are accepted with a 1e-12 mass tolerance.  Push-forward under a group element
-maps atoms pointwise and merges coincident images by adding weights.
+Weights are exact rationals and the mass sums to 1 on the nose; there is no
+tolerance.  A weight given as a Python float is taken at its exact binary
+value, and a JSON number at the exact decimal it spells.  Push-forward under a
+group element maps atoms pointwise and merges coincident images by adding
+weights.
 """
 
 from __future__ import annotations
@@ -23,11 +25,7 @@ from .spaces import (
     parse_boundary_point,
     parse_induced_point,
 )
-from .words import DEFAULT_BALL_CAP, Word, cached_ball, letters_to_str
-
-MASS_TOL = 1e-12
-
-Weight = Union[Fraction, float]
+from .words import Word, cached_ball, letters_to_str
 
 
 def _atom_sort_key(p):
@@ -44,7 +42,7 @@ class AtomicMeasure:
     """Probability measure with finitely many atoms on a fixed space."""
 
     space: Union[FiniteSpace, BoundarySpace, InducedSpace]
-    atoms: tuple[tuple[object, Weight], ...]
+    atoms: tuple[tuple[object, Fraction], ...]
 
     def support(self) -> tuple:
         return tuple(p for p, _ in self.atoms)
@@ -62,17 +60,14 @@ def atomic_measure(space, pairs) -> AtomicMeasure:
     merged: dict = {}
     for p, w in pairs:
         if not isinstance(w, Fraction):
-            w = w if isinstance(w, float) else Fraction(w)
+            w = Fraction(w)
         if w <= 0:
             raise ValueError("atom weights must be positive")
         merged[p] = merged.get(p, 0) + w
     if not merged:
         raise ValueError("a probability measure needs at least one atom")
     total = sum(merged.values())
-    if any(isinstance(w, float) for w in merged.values()):
-        if abs(float(total) - 1.0) > MASS_TOL:
-            raise ValueError(f"atom weights sum to {total}, not 1")
-    elif total != 1:
+    if total != 1:
         raise ValueError(f"atom weights sum to {total}, not 1")
     atoms = tuple(sorted(merged.items(), key=lambda kv: _atom_sort_key(kv[0])))
     return AtomicMeasure(space, atoms)
@@ -183,12 +178,6 @@ class BallFunction:
 
 # -- Poisson transform ------------------------------------------------------------
 
-def acting_ball(space, radius: int, max_size: int = DEFAULT_BALL_CAP) -> Sequence[Word]:
-    """The word ball of the group acting on the space."""
-    ctx = space.free_ctx if isinstance(space, BoundarySpace) else space.ambient
-    return cached_ball(ctx, radius, max_size)
-
-
 def _poisson_value(nu: AtomicMeasure, f: CylinderFunction, s: Word) -> float:
     space = nu.space
     total = 0.0
@@ -211,7 +200,7 @@ def poisson_transform(
 ) -> BallFunction:
     """s -> integral of f(s . x) d nu(x), over the radius-R word ball."""
     values = {}
-    for s in acting_ball(nu.space, radius):
+    for s in cached_ball(nu.space.ambient, radius):
         values[s] = _poisson_value(nu, f, s)
     return BallFunction(radius, values)
 
@@ -239,7 +228,7 @@ def isometry_defect(
     if max_enumeration_radius is not None:
         enum_radius = min(radius, max_enumeration_radius)
     best = 0.0
-    for s in acting_ball(nu.space, enum_radius):
+    for s in cached_ball(nu.space.ambient, enum_radius):
         best = max(best, abs(_poisson_value(nu, f, s)))
     for s in probes:
         if len(s) <= radius:
@@ -249,19 +238,15 @@ def isometry_defect(
 
 # -- serialization ------------------------------------------------------------------
 
-def weight_to_json(w: Weight):
-    if isinstance(w, Fraction):
-        return str(w)
-    return w
-
-
-def weight_from_json(x) -> Weight:
+def weight_from_json(x) -> Fraction:
+    """A ``"p/q"`` string or a JSON number, read as the exact value it spells
+    (the float ``0.1`` gives 1/10)."""
     try:
         if isinstance(x, str):
             return Fraction(x)
         if isinstance(x, (int, float)) and not isinstance(x, bool):
-            return float(x)
-    except (ValueError, ZeroDivisionError, OverflowError):
+            return Fraction(repr(x))
+    except (ValueError, ZeroDivisionError):
         pass
     raise ValueError(f"weight: must be a rational string or a number, not {x!r}")
 
@@ -295,7 +280,7 @@ def point_from_json(space, data):
 
 def measure_to_json(nu: AtomicMeasure) -> list:
     return [
-        {"point": point_to_json(p), "weight": weight_to_json(w)} for p, w in nu.atoms
+        {"point": point_to_json(p), "weight": str(w)} for p, w in nu.atoms
     ]
 
 
@@ -303,7 +288,8 @@ def measure_from_json(space, data) -> AtomicMeasure:
     if not (isinstance(data, list)
             and all(isinstance(e, dict) and "point" in e and "weight" in e for e in data)):
         raise ValueError('measure: must be a list of {"point", "weight"} objects')
-    return atomic_measure(
-        space,
-        [(point_from_json(space, e["point"]), weight_from_json(e["weight"])) for e in data],
-    )
+    pairs = [(point_from_json(space, e["point"]), weight_from_json(e["weight"])) for e in data]
+    try:
+        return atomic_measure(space, pairs)
+    except ValueError as exc:
+        raise ValueError(f"measure: {exc}") from exc

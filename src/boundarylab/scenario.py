@@ -40,14 +40,20 @@ from .words import FreeGroup, PermutationGroup, Word, is_int, letters_to_str, pa
 
 REPORT_SCHEMA = "boundarylab-report/1"
 
-KNOWN_CHECKS = (
-    "minimal-finite",
-    "minimal-symbolic",
-    "sp-extension",
-    "contraction-lifting",
-    "decompose-fibers",
-    "amenable-size",
-)
+#: Each known check and the group kind it needs (None: either kind).  The
+#: induced-space checks need a free group, the size dichotomy a finite one.
+KNOWN_CHECKS = {
+    "minimal-finite": None,
+    "minimal-symbolic": "free",
+    "sp-extension": "free",
+    "contraction-lifting": "free",
+    "decompose-fibers": "free",
+    "amenable-size": "permutation",
+}
+
+#: The contraction strategies a check may name: those that take an induced
+#: fiber measure.
+CHECK_STRATEGIES = ("fiber-lift", "greedy-ball")
 
 
 class ScenarioError(ValueError):
@@ -142,8 +148,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     for pos, c in enumerate(checks):
         _require(isinstance(c, dict) and "check" in c, f"checks[{pos}]",
                  "must be an object with a 'check' field")
-        _require(c["check"] in KNOWN_CHECKS, f"checks[{pos}].check",
+        _require(isinstance(c["check"], str) and c["check"] in KNOWN_CHECKS,
+                 f"checks[{pos}].check",
                  f"unknown check {c['check']!r}; known: {', '.join(KNOWN_CHECKS)}")
+        need = KNOWN_CHECKS[c["check"]] or kind
+        _require(need == kind, f"checks[{pos}].check", f"{c['check']!r} needs a {need} group")
+        if "strategy" in c:
+            _require(c["strategy"] in CHECK_STRATEGIES, f"checks[{pos}].strategy",
+                     f"must be one of {', '.join(CHECK_STRATEGIES)}")
         for key, low in _CHECK_INT_MINIMUMS.items():
             if key in c:
                 _require(is_int(c[key]) and (low is None or c[key] >= low),
@@ -201,10 +213,6 @@ class ScenarioObjects:
         return enumerate_cosets(handle, max_cosets=self.scenario.budgets["max_cosets"])
 
     @cached_property
-    def base_space(self) -> FiniteSpace:
-        return FiniteSpace.from_coset_table(self.table)
-
-    @cached_property
     def basis(self) -> SchreierBasis:
         return schreier_basis(self.table)
 
@@ -222,7 +230,7 @@ class ScenarioObjects:
         for cand in self.scenario.extensions:
             perms = [cand["action"][letters_to_str((x,))] for x in range(1, group.rank + 1)]
             space = FiniteSpace.make(group, cand["size"], perms)
-            n = self.base_space.size
+            n = self.table.size
             if not all(is_int(v) and 1 <= v <= n for v in cand["projection"]):
                 raise ScenarioError(
                     f"extensions[{cand['name']}].projection: values must lie in 1..{n}"
@@ -249,7 +257,7 @@ def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
         "budget": spec.get("steps", budgets["steps"]),
     }
     if name == "minimal-finite":
-        return check_minimal_finite(objs.base_space)
+        return check_minimal_finite(objs.table)
     if name == "minimal-symbolic":
         return check_minimal_symbolic(
             objs.induced,
@@ -259,8 +267,6 @@ def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
             seed=seed,
         )
     if name == "sp-extension":
-        if isinstance(scenario.group, PermutationGroup) and not scenario.subgroup_words:
-            raise ScenarioError("sp-extension on a permutation scenario needs a subgroup")
         return check_sp_extension(
             objs.extension, **contraction, strategy=spec.get("strategy", "fiber-lift")
         )
@@ -280,7 +286,7 @@ def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
             seed=seed,
         )
     if name == "amenable-size":
-        return amenable_size_check(objs.base_space, objs.candidate_spaces())
+        return amenable_size_check(objs.table, objs.candidate_spaces())
     raise ScenarioError(f"checks: unknown check {name!r}")
 
 

@@ -1,5 +1,6 @@
-"""Concrete group actions: finite point spaces, the symbolic boundary of a
-free group, and the induced action on (coset space) x (fiber).
+"""Concrete group actions: the symbolic boundary of a free group and the
+induced action on (coset space) x (fiber).  Finite point spaces, coset tables
+among them, live in :mod:`boundarylab.cosets` and are re-exported here.
 
 Boundary points are the eventually periodic infinite reduced words
 ``prefix . period . period . ...``, stored in a unique normal form so that
@@ -19,6 +20,7 @@ from typing import Optional, Union
 
 from .cosets import (
     CosetTable,
+    FiniteSpace,
     SchreierBasis,
     SubgroupHandle,
     eval_in_ambient,
@@ -26,10 +28,8 @@ from .cosets import (
 )
 from .words import (
     FreeGroup,
-    PermutationGroup,
     Word,
     alphabet,
-    closure,
     letters_from_str,
     letters_to_str,
     reduce_letters,
@@ -178,57 +178,6 @@ def cylinder_after(g_letters: tuple[int, ...], point: BoundaryPoint, depth: int)
 
 # -- finite spaces ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteSpace:
-    """Finite point space {1..size} with one permutation per ambient generator."""
-
-    ambient: FreeGroup | PermutationGroup
-    size: int
-    letter_perms: tuple[tuple[int, ...], ...]
-    inverse_perms: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def make(cls, ambient, size: int, letter_perms) -> "FiniteSpace":
-        perms = tuple(tuple(p) for p in letter_perms)
-        if len(perms) != ambient.rank:
-            raise ValueError("need one permutation per ambient generator")
-        inverses = []
-        for p in perms:
-            if sorted(p) != list(range(1, size + 1)):
-                raise ValueError(f"not a permutation of 1..{size}: {p}")
-            inv = [0] * size
-            for x, y in enumerate(p, start=1):
-                inv[y - 1] = x
-            inverses.append(tuple(inv))
-        return cls(ambient, size, perms, tuple(inverses))
-
-    @classmethod
-    def from_coset_table(cls, table: CosetTable) -> "FiniteSpace":
-        return cls(table.ambient, table.size, table.fwd, table.inv)
-
-    def act_letter(self, l: int, x: int) -> int:
-        if l > 0:
-            return self.letter_perms[l - 1][x - 1]
-        return self.inverse_perms[-l - 1][x - 1]
-
-    def act(self, w: Word, x: int) -> int:
-        if w.ctx != self.ambient:
-            raise ValueError("word from a different context")
-        for l in reversed(w.letters):
-            x = self.act_letter(l, x)
-        return x
-
-    def points(self) -> range:
-        return range(1, self.size + 1)
-
-    def orbit(self, x: int) -> frozenset:
-        letters = alphabet(self.ambient)
-        return frozenset(closure(x, lambda p: (self.act_letter(l, p) for l in letters)))
-
-    def is_transitive(self) -> bool:
-        return len(self.orbit(1)) == self.size
-
-
 def stabilizer_subgroup(space: FiniteSpace, x: int) -> SubgroupHandle:
     """Generators of the stabilizer of x, from Schreier generators of the orbit.
 
@@ -270,12 +219,12 @@ class BoundarySpace:
             raise ValueError("boundary space needs rank >= 2")
 
     @property
-    def free_ctx(self) -> FreeGroup:
+    def ambient(self) -> FreeGroup:
         return FreeGroup(self.rank)
 
     def acting_letters(self, g: Word) -> tuple[int, ...]:
         """The letters of an acting word, checked to lie in FreeGroup(rank)."""
-        if g.ctx != self.free_ctx:
+        if g.ctx != self.ambient:
             raise ValueError("word is not over the boundary's free group")
         return g.letters
 
@@ -284,7 +233,7 @@ class BoundarySpace:
 
     def cylinders(self, depth: int) -> list[tuple[int, ...]]:
         """All reduced depth-d prefixes (the depth-d cylinder names)."""
-        return list(reduced_layers(self.free_ctx, depth))[-1]
+        return list(reduced_layers(self.ambient, depth))[-1]
 
 
 # -- induced spaces ----------------------------------------------------------------
@@ -364,4 +313,4 @@ class ExtensionMap:
 
 
 def induced_extension(space: InducedSpace) -> ExtensionMap:
-    return ExtensionMap(space, FiniteSpace.from_coset_table(space.table), None)
+    return ExtensionMap(space, space.table, None)

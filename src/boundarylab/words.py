@@ -62,9 +62,6 @@ class PermutationGroup:
         return len(self.generators)
 
 
-GroupContext = FreeGroup | PermutationGroup
-
-
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     """Freely reduce a letter sequence (single stack pass; idempotent)."""
     out: list[int] = []

@@ -77,7 +77,7 @@ def s3_table(s3_ctx):
 
 @pytest.fixture(scope="session")
 def s3_space(s3_table):
-    return FiniteSpace.from_coset_table(s3_table)
+    return s3_table
 
 
 @pytest.fixture(scope="session")
@@ -88,4 +88,4 @@ def z4_ctx():
 @pytest.fixture(scope="session")
 def z4_space(z4_ctx):
     table = enumerate_cosets(subgroup(z4_ctx, []))
-    return FiniteSpace.from_coset_table(table)
+    return table

@@ -118,7 +118,7 @@ def test_criterion_01_cocycle_identity_as_stated():
 
     for name in FIXTURE_GENS:
         table = _table(name)
-        base = FiniteSpace.from_coset_table(table)
+        base = table
         for g1 in B3:
             for g2 in B3:
                 for i in range(1, table.size + 1):
@@ -150,7 +150,7 @@ def test_criterion_01_cocycle_identity_swapped_order():
     checked = 0
     for name in FIXTURE_GENS:
         table = _table(name)
-        base = FiniteSpace.from_coset_table(table)
+        base = table
         for g1 in B3:
             for g2 in B3:
                 for i in range(1, table.size + 1):

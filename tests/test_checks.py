@@ -11,6 +11,7 @@ from boundarylab import (
     ExtensionMap,
     FiniteSpace,
     FreeGroup,
+    InducedSpace,
     amenable_size_check,
     atomic_measure,
     boundary_point,
@@ -52,7 +53,7 @@ B_INF = boundary_point((), (2,))
 
 
 def test_minimal_finite_coset_space(index2_table):
-    space = FiniteSpace.from_coset_table(index2_table)
+    space = index2_table
     assert check_minimal_finite(space).verdict == "PASS"
 
 
@@ -433,6 +434,24 @@ def test_decompose_fibers_requires_induced(s3_space):
         decompose_fibers(phi)
 
 
+def test_decompose_fibers_catches_a_misrouted_mover(index2_phi, monkeypatch):
+    # transport reads one coset per mover: sending t_2 t_1^-1 to the wrong
+    # fiber must FAIL fiber 1's transport and nothing else
+    space = index2_phi.source
+    mover = space.table.rep(2) * space.table.rep(1).inverse()
+    act = InducedSpace.act
+
+    def misrouted(self, gamma, point):
+        i, y = act(self, gamma, point)
+        return (1 if gamma == mover and point[0] == 1 else i), y
+
+    monkeypatch.setattr(InducedSpace, "act", misrouted)
+    report = decompose_fibers(index2_phi, radius=2, depth=1, samples=2, seed=2)
+    assert report.verdict == "FAIL"
+    assert [e["transport_ok"] for e in report.evidence] == [False, True]
+    assert all(e["invariance_ok"] and e["matches_conjugate"] for e in report.evidence)
+
+
 # -- amenable size dichotomy ----------------------------------------------------------------
 
 
@@ -475,7 +494,7 @@ def test_amenable_size_check_detects_mismatch(s3_space):
 
 
 def test_amenable_size_check_requires_finite_group(index2_table):
-    space = FiniteSpace.from_coset_table(index2_table)
+    space = index2_table
     with pytest.raises(ValueError):
         amenable_size_check(space, [])
 

@@ -65,7 +65,7 @@ def test_index1_table(index1_table):
 def test_left_action_compatibility(index2_table):
     # coset_of is compatible with multiplication: evaluating the product
     # agrees with acting letterwise on the second factor's coset
-    space = FiniteSpace.from_coset_table(index2_table)
+    space = index2_table
     for u in ball(F2, 3):
         for v in ball(F2, 2):
             assert index2_table.coset_of(u * v) == space.act(
@@ -159,7 +159,7 @@ def _fold_outcome(enumerate_fn, sub, max_cosets):
         table = enumerate_fn(sub, max_cosets)
     except (InfiniteIndexError, BudgetExceededError) as exc:
         return type(exc)
-    return table.fwd, table.inv, table.transversal
+    return table.letter_perms, table.inverse_perms, table.transversal
 
 
 @settings(max_examples=300)
@@ -222,7 +222,7 @@ def test_cocycle_uniqueness_brute_force(index2_table, index2_basis):
 def test_cocycle_composition_order(index2_table, index3_table, index1_table, s3_table):
     # the product rule the implemented cocycle satisfies, exactly
     for table in (index2_table, index3_table, index1_table, s3_table):
-        base = FiniteSpace.from_coset_table(table)
+        base = table
         for g1 in cached_ball(table.ambient, 2):
             for g2 in cached_ball(table.ambient, 2):
                 for i in range(1, table.size + 1):
@@ -416,3 +416,20 @@ def test_non_normal_subgroup_round_trip():
         lam = rng.choice(members)
         back = eval_in_ambient(basis, rewrite_in_basis(table, basis, lam))
         assert back == lam
+
+
+@settings(max_examples=200)
+@given(generator_sets(), st.integers(0, 2**32))
+def test_coset_table_is_a_transitive_finite_space(case, seed):
+    # the coset table is the base space: point i is the coset t_i H, and the
+    # table's action is the left action on cosets
+    try:
+        table = enumerate_cosets(*case)
+    except (InfiniteIndexError, BudgetExceededError):
+        return
+    assert isinstance(table, FiniteSpace) and table.is_transitive()
+    rng = random.Random(seed)
+    for _ in range(10):
+        w = _random_word(rng, table.ambient)
+        for i in table.points():
+            assert table.act(w, i) == table.coset_of(w * table.rep(i))

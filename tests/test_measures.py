@@ -20,7 +20,12 @@ from boundarylab import (
     pushforward_map,
 )
 from boundarylab.checks import sample_boundary_point, sample_fiber_measure
-from boundarylab.measures import measure_from_json, measure_to_json, point_from_json
+from boundarylab.measures import (
+    measure_from_json,
+    measure_to_json,
+    point_from_json,
+    weight_from_json,
+)
 from boundarylab.words import cached_ball
 
 F2 = FreeGroup(2)
@@ -52,8 +57,10 @@ def test_mass_validation():
         atomic_measure(Y2, [(A_INF, Fraction(-1, 2)), (B_INF, Fraction(3, 2))])
     with pytest.raises(ValueError):
         atomic_measure(Y2, [])
-    # float weights get the 1e-12 tolerance
-    atomic_measure(Y2, [(A_INF, 0.5), (B_INF, 0.5 + 1e-13)])
+    # weights are exact: a float counts at its exact binary value, no tolerance
+    assert atomic_measure(Y2, [(A_INF, 0.5), (B_INF, 0.5)]).mass() == 1
+    with pytest.raises(ValueError):
+        atomic_measure(Y2, [(A_INF, 0.5), (B_INF, 0.5 + 1e-13)])
     with pytest.raises(ValueError):
         atomic_measure(Y2, [(A_INF, 0.5), (B_INF, 0.6)])
 
@@ -303,3 +310,15 @@ def test_cylinder_function_export():
     data = f.to_json()
     assert data["depth"] == 1
     assert {e["cylinder"] for e in data["entries"]} == {"a", "B"}
+
+
+def test_json_weights_read_as_exact_decimals():
+    assert weight_from_json(0.1) == Fraction(1, 10)
+    assert weight_from_json(2) == 2 and weight_from_json("3/4") == Fraction(3, 4)
+    for bad in (True, None, "1/0", float("inf"), float("nan"), [1]):
+        with pytest.raises(ValueError, match="weight"):
+            weight_from_json(bad)
+    nu = measure_from_json(Y2, [{"point": "|a", "weight": 0.1},
+                                {"point": "|b", "weight": 0.9}])
+    assert [w for _, w in nu.atoms] == [Fraction(1, 10), Fraction(9, 10)]
+    assert measure_to_json(nu)[0]["weight"] == "1/10"

@@ -208,6 +208,20 @@ def _with_extension(**changes):
     (_with_extension(action={"a": [True, 3, 2, 4, 6, 5], "b": [2, 3, 1, 5, 6, 4]}),
      "extensions[0].action.a"),
     (_with_extension(action={"a": [1, 3, 2, 4, 6, 5]}), "extensions[0].action.b"),
+    ({**S3_SCENARIO, "checks": [{"check": "minimal-finite"}, {"check": "minimal-symbolic"}]},
+     "checks[1].check"),
+    ({**S3_SCENARIO, "checks": [{"check": "sp-extension"}]}, "checks[0].check"),
+    ({**S3_SCENARIO, "checks": [{"check": "contraction-lifting"}]}, "checks[0].check"),
+    ({**S3_SCENARIO, "checks": [{"check": "decompose-fibers"}]}, "checks[0].check"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "minimal-finite"}, {"check": "amenable-size"}]},
+     "checks[1].check"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "sp-extension", "strategy": "nope"}]},
+     "checks[0].strategy"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "sp-extension", "strategy": "axis-power"}]},
+     "checks[0].strategy"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "sp-extension", "strategy": 3}]},
+     "checks[0].strategy"),
+    ({**SMALL_SCENARIO, "checks": [{"check": ["sp-extension"]}]}, "checks[0].check"),
 ])
 def test_cli_malformed_field_exits_2(tmp_path, capsys, scenario, fieldname):
     path = tmp_path / "malformed.json"
@@ -263,11 +277,18 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
     ("contract", lambda _: {"space": "fiber",
                             "atoms": [{"point": "d|a", "weight": "1/2"},
                                       {"point": "|b", "weight": "1/2"}]}, "rank 3"),
+    ("contract", lambda _: {"atoms": [{"point": "(2, |a)", "weight": "1/2"},
+                                      {"point": "(2, |b)", "weight": "1/4"}]},
+     "measure: atom weights sum to 3/4, not 1"),
+    ("contract", lambda _: {"atoms": [{"point": p, "weight": 0.3333333333333333}
+                                      for p in ("(2, |a)", "(2, |b)", "(2, |c)")]},
+     "measure: atom weights sum to 9999999999999999/10000000000000000, not 1"),
 ], ids=["report-list", "no-scenario", "no-checks", "int-steps", "str-measure",
         "str-achieved-depth", "bare-atom-list", "no-atoms", "atom-without-weight",
         "str-atoms", "coset-above-index", "replay-coset-above-index",
         "replay-negative-coset", "integer-fiber-point", "zero-denominator-weight",
-        "induced-letter-above-fiber-rank", "fiber-letter-above-rank"])
+        "induced-letter-above-fiber-rank", "fiber-letter-above-rank",
+        "weights-sum-below-one", "float-thirds-inexact"])
 def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper, fieldname):
     report = json.loads(report_json_text(run_scenario(scenario_from_dict(SMALL_SCENARIO))))
     path = tmp_path / "tampered.json"
@@ -412,6 +433,30 @@ def test_cli_contract(tiny_path, tmp_path, capsys):
     assert main(["contract", tiny_path, "--measure", str(mpath2)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "PASS"
+
+
+def test_cli_contract_decimal_weights_are_exact(tiny_path, tmp_path, capsys):
+    # JSON numbers are read as the decimals they spell: 0.1 + 0.2 + 0.7 == 1
+    atoms = [{"point": p, "weight": w}
+             for p, w in (("(2, |a)", 0.1), ("(2, |b)", 0.2), ("(2, |c)", 0.7))]
+    mpath = tmp_path / "decimal.json"
+    mpath.write_text(json.dumps({"atoms": atoms}))
+    assert main(["contract", tiny_path, "--measure", str(mpath), "--target-depth", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
+
+
+def test_group_kind_and_strategy_rejected_at_load():
+    # a check that does not fit the group kind never starts the run
+    for check in ("minimal-symbolic", "sp-extension", "contraction-lifting", "decompose-fibers"):
+        with pytest.raises(ScenarioError, match=f"checks\\[1\\].check: '{check}' needs a free"):
+            scenario_from_dict({**S3_SCENARIO, "checks": [{"check": "amenable-size"},
+                                                          {"check": check}]})
+    with pytest.raises(ScenarioError, match="checks\\[0\\].check: 'amenable-size' needs a perm"):
+        scenario_from_dict({**SMALL_SCENARIO, "checks": [{"check": "amenable-size"}]})
+    for strategy in ("fiber-lift", "greedy-ball"):
+        scenario_from_dict({**SMALL_SCENARIO,
+                            "checks": [{"check": "sp-extension", "strategy": strategy}]})
+    scenario_from_dict({**S3_SCENARIO, "checks": [{"check": "minimal-finite"}]})
 
 
 def test_cli_inconclusive_flagged_but_passes(tmp_path, capsys):

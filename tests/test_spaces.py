@@ -204,7 +204,7 @@ def test_common_prefix_depth_symmetric(pair1, pair2):
 
 
 def test_act_finite(index2_table):
-    space = FiniteSpace.from_coset_table(index2_table)
+    space = index2_table
     a = generator(F2, 1)
     assert space.act(identity(F2), 1) == 1
     assert space.act(a, 1) == 2
@@ -307,7 +307,7 @@ def test_fiber_stabilizer_invariance(index2_induced, index2_basis):
 
 def test_fiber_invariance_ambient_ball(index2_induced):
     # stabilizer elements drawn literally from the ambient radius-4 ball
-    base = FiniteSpace.from_coset_table(index2_induced.table)
+    base = index2_induced.table
     rng = random.Random(14)
     for i in (1, 2):
         movers = [w for w in cached_ball(F2, 4) if base.act(w, i) == i]
@@ -356,11 +356,11 @@ def test_finite_extension_point_map(s3_space):
 
 
 def test_stabilizer_reproduces_subgroup(index2_table):
-    space = FiniteSpace.from_coset_table(index2_table)
+    space = index2_table
     stab = stabilizer_subgroup(space, 1)
     table = enumerate_cosets(stab)
     assert table.size == index2_table.size
-    assert table.fwd == index2_table.fwd
+    assert table.letter_perms == index2_table.letter_perms
     assert table.transversal == index2_table.transversal
 
 
@@ -371,7 +371,7 @@ def test_stabilizer_trivial_space():
 
 
 def test_stabilizers_conjugate(index3_table):
-    space = FiniteSpace.from_coset_table(index3_table)
+    space = index3_table
     a = generator(F2, 1)
     j = space.act(a, 1)
     stab1 = stabilizer_subgroup(space, 1)
@@ -381,7 +381,7 @@ def test_stabilizers_conjugate(index3_table):
     from boundarylab import conjugate_subgroup
 
     conj = enumerate_cosets(conjugate_subgroup(stab1, a))
-    assert tj.fwd == conj.fwd and tj.transversal == conj.transversal
+    assert tj.letter_perms == conj.letter_perms and tj.transversal == conj.transversal
 
 
 def test_stabilizer_requires_transitive():
@@ -409,3 +409,13 @@ def test_induced_point_serialization():
     assert parse_induced_point(s) == p
     with pytest.raises(ValueError):
         parse_induced_point("2, a|b")
+
+
+@given(g=letters, pair1=point_strategy, pair2=point_strategy)
+def test_induced_coset_ignores_the_fiber_point(induced, g, pair1, pair2):
+    # the coset of g.(i, y) is the coset of g t_i, whatever y is
+    y1, y2 = make_point(*pair1), make_point(*pair2)
+    assume(y1 is not None and y2 is not None)
+    gamma = word(F2, g)
+    for i in range(1, induced.size + 1):
+        assert induced.act(gamma, (i, y1))[0] == induced.act(gamma, (i, y2))[0]
