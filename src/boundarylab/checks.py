@@ -64,6 +64,8 @@ COVERAGE_BALL_CAP = 200_000  # most ball words symbolic coverage enumerates
 LIFTING_COVERAGE_SAMPLES = 5  # coverage starts behind contraction-lifting
 WALK_LEN = 8  # longest random walk behind a sampled boundary point
 MAX_DENOM = 64  # sampled weights are proportional to draws from 1..MAX_DENOM
+#: The space each contraction strategy takes (None: boundary or induced).
+STRATEGY_SPACE = {"axis-power": BoundarySpace, "fiber-lift": InducedSpace, "greedy-ball": None}
 
 
 def _verdict(failed: bool, inconclusive: bool) -> str:
@@ -287,7 +289,7 @@ def contract_measure(
     nu: AtomicMeasure,
     target_depth: int,
     budget: int,
-    strategy: str = "axis-power",
+    strategy: Optional[str] = None,
 ) -> Optional[ContractionCertificate]:
     """Search for a certificate concentrating nu to the target cylinder depth.
 
@@ -303,6 +305,8 @@ def contract_measure(
       element that most increases the concentration depth (shortlex
       tie-break); may stall.
 
+    ``strategy=None`` takes the exact one for the measure's space:
+    ``axis-power`` for a boundary measure, ``fiber-lift`` for an induced one.
     The strategy only finds the steps; the certificate's claim is read off
     the measure pushed through them, as :func:`replay` does.  Returns None
     when the budget runs out (inconclusive, never a disproof).
@@ -313,15 +317,21 @@ def contract_measure(
         raise ValueError("target_depth must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if strategy is None:
+        strategy = "fiber-lift" if isinstance(nu.space, InducedSpace) else "axis-power"
+    if strategy not in STRATEGY_SPACE:
+        raise ValueError(f"unknown contraction strategy {strategy!r}")
+    need = STRATEGY_SPACE[strategy]
+    if need is not None and not isinstance(nu.space, need):
+        raise ValueError(f"{strategy} strategy expects a {need.__name__} measure")
 
     if strategy == "axis-power":
-        steps = _contract_axis_boundary(nu, target_depth, budget)
+        points = [p for p, _ in nu.atoms]
+        steps = _axis_power_steps(points, nu.space.rank, target_depth, budget)
     elif strategy == "fiber-lift":
         steps = _contract_fiber_lift(nu, target_depth, budget)
-    elif strategy == "greedy-ball":
-        steps = _contract_greedy(nu, target_depth, budget)
     else:
-        raise ValueError(f"unknown contraction strategy {strategy!r}")
+        steps = _contract_greedy(nu, target_depth, budget)
     if steps is None:
         return None
     final, depth, coset = _push_through(nu, steps)
@@ -332,17 +342,8 @@ def contract_measure(
     )
 
 
-def _contract_axis_boundary(nu, target, budget):
-    space = nu.space
-    if not isinstance(space, BoundarySpace):
-        raise ValueError("axis-power strategy expects a boundary-space measure")
-    return _axis_power_steps([p for p, _ in nu.atoms], space.rank, target, budget)
-
-
 def _contract_fiber_lift(nu, target, budget):
     space = nu.space
-    if not isinstance(space, InducedSpace):
-        raise ValueError("fiber-lift strategy expects an induced-space measure")
     cosets = {p[0] for p, _ in nu.atoms}
     if len(cosets) != 1:
         raise ValueError("fiber-lift needs a fiber-supported measure")

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .checks import contract_measure, replay as replay_steps
+from .checks import STRATEGY_SPACE, contract_measure, replay as replay_steps
 from .measures import measure_from_json
 from .scenario import (
     ScenarioError,
@@ -58,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_contract.add_argument("--measure", required=True, help="measure JSON path")
     p_contract.add_argument(
         "--strategy",
-        default="fiber-lift",
-        choices=["axis-power", "fiber-lift", "greedy-ball"],
+        default=None,
+        choices=list(STRATEGY_SPACE),
+        help="default: axis-power for a fiber measure, fiber-lift for an induced one",
     )
     p_contract.add_argument("--target-depth", type=int, default=None)
     p_contract.add_argument("--steps", type=int, default=None)
@@ -147,13 +148,15 @@ def _cmd_contract(args) -> int:
         space = BoundarySpace(objs.basis.rank)
     else:
         raise ScenarioError("measure.space: must be 'induced' or 'fiber'")
+    need = STRATEGY_SPACE.get(args.strategy)
+    if need is not None and not isinstance(space, need):
+        raise ScenarioError(
+            f"--strategy: {args.strategy} does not fit a measure whose space is {space_name!r}"
+        )
     nu = measure_from_json(space, mdata["atoms"])
     target = scenario.depths["target"] if args.target_depth is None else args.target_depth
     steps = scenario.budgets["steps"] if args.steps is None else args.steps
-    strategy = args.strategy
-    if space_name == "fiber" and strategy == "fiber-lift":
-        strategy = "axis-power"
-    cert = contract_measure(nu, target, steps, strategy=strategy)
+    cert = contract_measure(nu, target, steps, strategy=args.strategy)
     if cert is None:
         print(json.dumps({"verdict": "INCONCLUSIVE", "target_depth": target,
                           "budget_steps": steps}, indent=2, sort_keys=True))

@@ -159,8 +159,8 @@ def enumerate_cosets(sub: SubgroupHandle, max_cosets: int = 1024) -> CosetTable:
     Free ambient group: trace every generator as a loop at the base vertex of
     a labelled graph, folding coincidences as they appear.  The folded graph
     is complete if and only if the index is finite; its vertices are then the
-    cosets.  Finite ambient group: enumerate cosets as orbits of the word ball
-    acting on permutations.
+    cosets.  Finite ambient group: enumerate the cosets as the orbit of the
+    subgroup's coset under the generators, acting on permutations.
 
     Raises :class:`InfiniteIndexError` for infinite index (free ambient only)
     and :class:`BudgetExceededError` when the index exceeds ``max_cosets``.

@@ -28,15 +28,6 @@ from .spaces import (
 from .words import Word, cached_ball, letters_to_str
 
 
-def _atom_sort_key(p):
-    if isinstance(p, int):
-        return (p,)
-    if isinstance(p, BoundaryPoint):
-        return (p.prefix, p.period)
-    i, y = p
-    return (i, y.prefix, y.period)
-
-
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Probability measure with finitely many atoms on a fixed space."""
@@ -69,7 +60,8 @@ def atomic_measure(space, pairs) -> AtomicMeasure:
     total = sum(merged.values())
     if total != 1:
         raise ValueError(f"atom weights sum to {total}, not 1")
-    atoms = tuple(sorted(merged.items(), key=lambda kv: _atom_sort_key(kv[0])))
+    # points order themselves; an induced (i, y) sorts by coset first
+    atoms = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
     return AtomicMeasure(space, atoms)
 
 
@@ -264,15 +256,17 @@ def point_from_json(space, data):
         return int(data)
     if not isinstance(data, str):
         raise ValueError(f"point: must be a string, not {data!r}")
-    if isinstance(space, BoundarySpace):
-        point = y = parse_boundary_point(data)
-        rank = space.rank
+    boundary = isinstance(space, BoundarySpace)
+    try:
+        point = parse_boundary_point(data) if boundary else parse_induced_point(data)
+    except ValueError as exc:
+        raise ValueError(f"point: {data!r}: {exc}") from exc
+    if boundary:
+        y, rank = point, space.rank
     else:
-        point = parse_induced_point(data)
         if not 1 <= point[0] <= space.size:
             raise ValueError(f"point: coset of {data!r} must lie in 1..{space.size}")
-        y = point[1]
-        rank = space.fiber.rank
+        y, rank = point[1], space.fiber.rank
     if max(map(abs, y.prefix + y.period)) > rank:
         raise ValueError(f"point: {data!r} uses a letter above rank {rank}")
     return point

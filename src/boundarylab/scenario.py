@@ -27,7 +27,8 @@ from .checks import (
     decompose_fibers,
     replay as replay_steps,
 )
-from .cosets import CosetTable, SchreierBasis, enumerate_cosets, schreier_basis, subgroup
+from .cosets import (CosetTable, InfiniteIndexError, SchreierBasis, enumerate_cosets,
+                     schreier_basis, subgroup)
 from .measures import measure_from_json
 from .spaces import (
     ExtensionMap,
@@ -36,7 +37,8 @@ from .spaces import (
     induced_extension,
     induced_space,
 )
-from .words import FreeGroup, PermutationGroup, Word, is_int, letters_to_str, parse_word
+from .words import (BudgetExceededError, FreeGroup, PermutationGroup, Word, is_int,
+                    letters_to_str, parse_word)
 
 REPORT_SCHEMA = "boundarylab-report/1"
 
@@ -210,7 +212,10 @@ class ScenarioObjects:
     @cached_property
     def table(self) -> CosetTable:
         handle = subgroup(self.scenario.group, self.scenario.subgroup_words)
-        return enumerate_cosets(handle, max_cosets=self.scenario.budgets["max_cosets"])
+        try:
+            return enumerate_cosets(handle, max_cosets=self.scenario.budgets["max_cosets"])
+        except InfiniteIndexError as exc:
+            raise ScenarioError(f"subgroup: {exc}") from exc
 
     @cached_property
     def basis(self) -> SchreierBasis:
@@ -285,9 +290,8 @@ def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
             samples=spec.get("samples", 3),
             seed=seed,
         )
-    if name == "amenable-size":
-        return amenable_size_check(objs.table, objs.candidate_spaces())
-    raise ScenarioError(f"checks: unknown check {name!r}")
+    # amenable-size: the last of KNOWN_CHECKS, the only names scenario_from_dict admits
+    return amenable_size_check(objs.table, objs.candidate_spaces())
 
 
 @dataclass
@@ -324,8 +328,6 @@ def run_scenario(scenario: Scenario) -> RunReport:
     A check that exhausts an enumeration budget is reported INCONCLUSIVE
     rather than aborting the run.
     """
-    from .words import BudgetExceededError
-
     objs = ScenarioObjects(scenario)
     entries = []
     for pos, spec in enumerate(scenario.checks, start=1):

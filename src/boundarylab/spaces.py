@@ -45,7 +45,7 @@ EQUAL = math.inf
 
 # -- boundary points -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BoundaryPoint:
     """Eventually periodic reduced infinite word, in normal form.
 

@@ -7,9 +7,9 @@ Words serialize as strings over ``a``..``z``, uppercase meaning inverse, so
 are written ``{27}`` / ``{-27}``.
 
 Two ambient kinds exist: :class:`FreeGroup` (exact word arithmetic is the
-whole story) and :class:`PermutationGroup` (words additionally evaluate to
-permutations of ``{0..degree-1}``, and enumeration merges words that evaluate
-to the same permutation).
+whole story, and word balls are enumerated here only) and
+:class:`PermutationGroup` (words additionally evaluate to permutations of
+``{0..degree-1}``, and finite groups are explored by exhaustive orbits).
 """
 
 from __future__ import annotations
@@ -286,20 +286,6 @@ def permutation_of(w: Word) -> tuple[int, ...]:
 
 # -- ball enumeration ---------------------------------------------------------
 
-def ball(ctx, radius: int, max_size: int = DEFAULT_BALL_CAP) -> tuple[Word, ...]:
-    """All reduced words of length <= radius, in shortlex order.
-
-    For permutation contexts, words evaluating to the same permutation are
-    merged and the shortlex-least representative is kept.  Raises
-    :class:`BudgetExceededError` when the ball would exceed ``max_size``.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if isinstance(ctx, FreeGroup):
-        return _free_ball(ctx, radius, max_size)
-    return _perm_ball(ctx, radius, max_size)
-
-
 def reduced_layers(ctx: FreeGroup, radius: int) -> Iterator[list[tuple[int, ...]]]:
     """Yield the reduced letter tuples of length 0, 1, .., radius, one list
     per length, each in shortlex order."""
@@ -311,7 +297,17 @@ def reduced_layers(ctx: FreeGroup, radius: int) -> Iterator[list[tuple[int, ...]
         yield layer
 
 
-def _free_ball(ctx: FreeGroup, radius: int, max_size: int) -> tuple[Word, ...]:
+def ball(ctx: FreeGroup, radius: int, max_size: int = DEFAULT_BALL_CAP) -> tuple[Word, ...]:
+    """All reduced words of length <= radius in a free group, in shortlex order.
+
+    Raises :class:`BudgetExceededError` when the ball would exceed
+    ``max_size``.  Finite groups are decided by exhaustive orbits
+    (:func:`closure`), never by balls, so a permutation group is refused.
+    """
+    if not isinstance(ctx, FreeGroup):
+        raise ValueError(f"balls are enumerated in free groups only, not a {type(ctx).__name__}")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     words: list[Word] = []
     for layer in reduced_layers(ctx, radius):
         if len(words) + len(layer) > max_size:
@@ -322,44 +318,7 @@ def _free_ball(ctx: FreeGroup, radius: int, max_size: int) -> tuple[Word, ...]:
     return tuple(words)
 
 
-def _perm_ball(ctx: PermutationGroup, radius: int, max_size: int) -> tuple[Word, ...]:
-    ident = identity_perm(ctx.degree)
-    seen = {ident}
-    out = [Word(ctx, ())]
-    frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ident)]
-    letters = alphabet(ctx)
-    for _ in range(radius):
-        nxt = []
-        for ls, p in frontier:
-            last = ls[-1] if ls else 0
-            for l in letters:
-                if l == -last:
-                    continue
-                q = compose_perms(p, letter_perm(ctx, l))
-                if q in seen:
-                    continue
-                seen.add(q)
-                if len(seen) > max_size:
-                    raise BudgetExceededError(
-                        f"ball of radius {radius} exceeds cap {max_size}"
-                    )
-                nxt.append((ls + (l,), q))
-        frontier = nxt
-        out.extend(Word(ctx, ls) for ls, _ in frontier)
-        if not frontier:
-            break
-    return tuple(out)
-
-
 @lru_cache(maxsize=128)
 def cached_ball(ctx, radius: int, max_size: int = DEFAULT_BALL_CAP) -> tuple[Word, ...]:
     """Memoized :func:`ball`; contexts are hashable so this is safe to share."""
     return ball(ctx, radius, max_size)
-
-
-def free_ball_size(rank: int, radius: int) -> int:
-    """Closed form 1 + sum_{l=1..R} 2k(2k-1)^(l-1) for a rank-k free group."""
-    total = 1
-    for length in range(1, radius + 1):
-        total += 2 * rank * (2 * rank - 1) ** (length - 1)
-    return total

@@ -103,6 +103,18 @@ def sorted_shortlex_bfs(ctx, base, step, max_nodes=None):
     return reps
 
 
+def atom_sort_key(p):
+    """The explicit sort key atoms had before points ordered themselves:
+    finite points by value, boundary points by (prefix, period), induced
+    points by coset, then the fiber point's (prefix, period)."""
+    if isinstance(p, int):
+        return (p,)
+    if isinstance(p, BoundaryPoint):
+        return (p.prefix, p.period)
+    i, y = p
+    return (i, y.prefix, y.period)
+
+
 def four_step_act(space, gamma, point):
     """The induced action by way of the cocycle: lam = (gamma t_i)^-1 t_j as
     Word products, inverted, checked to fix coset 1, rewritten in the basis,

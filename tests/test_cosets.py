@@ -27,7 +27,7 @@ from boundarylab import (
     word,
 )
 from boundarylab.checks import sample_boundary_point
-from boundarylab.words import alphabet, ball, cached_ball, reduce_letters
+from boundarylab.words import Word, alphabet, ball, reduce_letters, reduced_layers
 
 F2 = FreeGroup(2)
 
@@ -77,7 +77,7 @@ def test_s3_enumeration(s3_ctx, s3_table):
     assert s3_table.size == 3
     # permutation membership oracle: coset 1 iff the word evaluates into <(01)>
     lam = {(0, 1, 2), (1, 0, 2)}
-    for w in ball(s3_ctx, 5):
+    for w in (Word(s3_ctx, ls) for layer in reduced_layers(s3_ctx, 5) for ls in layer):
         assert (s3_table.coset_of(w) == 1) == (permutation_of(w) in lam)
 
 
@@ -223,8 +223,10 @@ def test_cocycle_composition_order(index2_table, index3_table, index1_table, s3_
     # the product rule the implemented cocycle satisfies, exactly
     for table in (index2_table, index3_table, index1_table, s3_table):
         base = table
-        for g1 in cached_ball(table.ambient, 2):
-            for g2 in cached_ball(table.ambient, 2):
+        words = [Word(table.ambient, ls) for layer in reduced_layers(table.ambient, 2)
+                 for ls in layer]
+        for g1 in words:
+            for g2 in words:
                 for i in range(1, table.size + 1):
                     lhs = cocycle(table, g1 * g2, i)
                     rhs = cocycle(table, g2, i) * cocycle(table, g1, base.act(g2, i))

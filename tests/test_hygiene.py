@@ -1,8 +1,11 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses, and
+no public function or class is dead.
 
-``__init__.py`` is exempt, since importing is how it re-exports.  A name
-counts as used when it appears anywhere in the module body, annotations
-included.
+``__init__.py`` is exempt from the import check, since importing is how it
+re-exports.  A name counts as used when it appears anywhere in the module
+body, annotations included.  A public definition is live when another
+statement of the package reads it, ``__init__.py`` imports it, or
+``perfbench/`` or ``scripts/`` use it.
 """
 
 import ast
@@ -39,3 +42,62 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# -- dead code ---------------------------------------------------------------------
+
+ROOT = PACKAGE.parent.parent
+CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def _names_in(node, strings: bool = False) -> set[str]:
+    """Identifiers a subtree reads: names, attributes and imported names, and
+    with ``strings`` the dotted parts of string constants (perfbench traces
+    functions by name)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.update(n.value.split("."))
+    return out
+
+
+def unreferenced_definitions(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Public module-level functions and classes of ``package`` (module name
+    -> source) that no other statement of the package reads, ``__init__``
+    does not import, and no caller source uses; as ``module.name``."""
+    statements = [(module, stmt) for module, source in package.items()
+                  for stmt in ast.parse(source).body]
+    read = set()
+    for source in callers:
+        read |= _names_in(ast.parse(source), strings=True)
+    dead = []
+    for module, node in statements:
+        if (module == "__init__" or not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_") or node.name in read):
+            continue
+        if not any(node.name in _names_in(stmt) for _, stmt in statements if stmt is not node):
+            dead.append(f"{module}.{node.name}")
+    return sorted(dead)
+
+
+def test_unreferenced_definitions_finds_dead_code():
+    package = {
+        "a": "def live():\n    return helper()\n\ndef helper():\n    return 1\n\n"
+             "def dead():\n    return dead()\n\nclass Exported:\n    pass\n\n"
+             "def traced():\n    pass\n\ndef _private():\n    pass\n",
+        "__init__": "from .a import Exported\n",
+    }
+    callers = ["from boundarylab import a\na.live()\nPLAN = ('a', 'traced')\n"]
+    assert unreferenced_definitions(package, callers) == ["a.dead"]
+
+
+def test_every_public_definition_is_reachable():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unreferenced_definitions(package, callers) == []

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import atom_sort_key
 
 from boundarylab import (
     BoundarySpace,
@@ -48,6 +51,21 @@ def test_atoms_merge_and_sort():
     assert len(nu.atoms) == 2
     assert nu.mass() == 1
     assert nu.support() == (A_INF, B_INF)
+
+
+fiber_points = st.builds(
+    boundary_point,
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=5),
+    st.sampled_from([(1,), (-1,), (2,), (-2,), (1, 2), (2, -1), (1, 1, -2)]),
+)
+
+
+@given(st.lists(st.tuples(st.integers(1, 2), fiber_points), min_size=1, max_size=8))
+def test_atoms_sort_as_the_old_key(index2_induced, points):
+    # boundary and induced atoms come out exactly in the old explicit key's order
+    for space, pts in ((Y2, [y for _, y in points]), (index2_induced, points)):
+        nu = atomic_measure(space, [(p, Fraction(1, len(pts))) for p in pts])
+        assert list(nu.support()) == sorted(set(pts), key=atom_sort_key)
 
 
 def test_mass_validation():

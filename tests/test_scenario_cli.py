@@ -222,6 +222,7 @@ def _with_extension(**changes):
     ({**SMALL_SCENARIO, "checks": [{"check": "sp-extension", "strategy": 3}]},
      "checks[0].strategy"),
     ({**SMALL_SCENARIO, "checks": [{"check": ["sp-extension"]}]}, "checks[0].check"),
+    ({**SMALL_SCENARIO, "subgroup": ["aa", "b"]}, "subgroup: "),
 ])
 def test_cli_malformed_field_exits_2(tmp_path, capsys, scenario, fieldname):
     path = tmp_path / "malformed.json"
@@ -283,12 +284,15 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
     ("contract", lambda _: {"atoms": [{"point": p, "weight": 0.3333333333333333}
                                       for p in ("(2, |a)", "(2, |b)", "(2, |c)")]},
      "measure: atom weights sum to 9999999999999999/10000000000000000, not 1"),
+    ("contract", lambda _: {"atoms": [{"point": "(x, |a)", "weight": "1"}]}, "point:"),
+    ("contract", lambda _: {"atoms": [{"point": "(2, |a!)", "weight": "1"}]}, "point:"),
 ], ids=["report-list", "no-scenario", "no-checks", "int-steps", "str-measure",
         "str-achieved-depth", "bare-atom-list", "no-atoms", "atom-without-weight",
         "str-atoms", "coset-above-index", "replay-coset-above-index",
         "replay-negative-coset", "integer-fiber-point", "zero-denominator-weight",
         "induced-letter-above-fiber-rank", "fiber-letter-above-rank",
-        "weights-sum-below-one", "float-thirds-inexact"])
+        "weights-sum-below-one", "float-thirds-inexact", "non-integer-coset",
+        "bad-word-character"])
 def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper, fieldname):
     report = json.loads(report_json_text(run_scenario(scenario_from_dict(SMALL_SCENARIO))))
     path = tmp_path / "tampered.json"
@@ -420,7 +424,7 @@ def test_cli_contract(tiny_path, tmp_path, capsys):
     assert data["verdict"] == "PASS"
     assert data["certificate"]["limit_coset"] == 2
 
-    # fiber-space measure falls back to axis-power
+    # with no --strategy, a fiber-space measure takes axis-power
     measure = {
         "space": "fiber",
         "atoms": [
@@ -433,6 +437,21 @@ def test_cli_contract(tiny_path, tmp_path, capsys):
     assert main(["contract", tiny_path, "--measure", str(mpath2)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("space, atoms, strategy", [
+    ("induced", ATOMS, "axis-power"),
+    ("fiber", [{"point": "|a", "weight": "1/2"}, {"point": "|b", "weight": "1/2"}],
+     "fiber-lift"),
+])
+def test_cli_contract_strategy_must_fit_the_measure_space(tiny_path, tmp_path, capsys,
+                                                          space, atoms, strategy):
+    mpath = tmp_path / "measure.json"
+    mpath.write_text(json.dumps({"space": space, "atoms": atoms}))
+    assert main(["contract", tiny_path, "--measure", str(mpath), "--strategy", strategy]) == 2
+    err = capsys.readouterr().err
+    assert "--strategy" in err and repr(space) in err
+    assert "Traceback" not in err
 
 
 def test_cli_contract_decimal_weights_are_exact(tiny_path, tmp_path, capsys):

@@ -19,11 +19,11 @@ from boundarylab import (
 from boundarylab.words import (
     alphabet,
     compose_perms,
-    free_ball_size,
     identity_perm,
     letters_from_str,
     letters_to_str,
     reduce_letters,
+    reduced_layers,
     shortlex_bfs,
 )
 
@@ -143,7 +143,9 @@ def test_ball_sizes_free():
     assert len(ball(F2, 2)) == 17
     for rank in (2, 3):
         for radius in range(4):
-            assert len(ball(FreeGroup(rank), radius)) == free_ball_size(rank, radius)
+            # closed form 1 + sum_{l=1..R} 2k(2k-1)^(l-1) for rank k
+            size = 1 + sum(2 * rank * (2 * rank - 1) ** (l - 1) for l in range(1, radius + 1))
+            assert len(ball(FreeGroup(rank), radius)) == size
         for depth in range(5):
             sphere = [w.letters for w in ball(FreeGroup(rank), depth) if len(w) == depth]
             assert BoundarySpace(rank).cylinders(depth) == sphere
@@ -163,10 +165,11 @@ def test_ball_budget():
         ball(F2, 10, max_size=100)
 
 
-def test_ball_permutation_dedup():
+def test_ball_refuses_a_permutation_group():
+    # finite groups are decided by exhaustive orbits, never by word balls
     s3 = PermutationGroup(3, ((1, 0, 2), (1, 2, 0)))
-    assert len(ball(s3, 6)) == 6
-    assert len(ball(s3, 12)) == 6  # stabilizes at the whole group
+    with pytest.raises(ValueError, match="PermutationGroup"):
+        ball(s3, 2)
 
 
 def test_permutation_of():
@@ -181,7 +184,7 @@ def test_permutation_homomorphism():
     import random
 
     s3 = PermutationGroup(3, ((1, 0, 2), (1, 2, 0)))
-    B = ball(s3, 3)
+    B = [Word(s3, ls) for layer in reduced_layers(s3, 3) for ls in layer]
     rng = random.Random(5)
     for _ in range(200):
         u, v = rng.choice(B), rng.choice(B)
