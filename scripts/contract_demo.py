@@ -47,7 +47,7 @@ def main() -> int:
     print("\nsampled fiber measure:")
     print(json.dumps(measure_to_json(nu), indent=2))
 
-    cert = contract_measure(nu, args.depth, args.steps, strategy="fiber-lift")
+    cert = contract_measure(nu, args.depth, args.steps)
     if cert is None:
         print(f"\nINCONCLUSIVE: no certificate within {args.steps} steps")
         return 1

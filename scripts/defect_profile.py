@@ -33,7 +33,7 @@ def main() -> int:
     for p, w in nu.atoms:
         print(f"  {w}  at  {p.to_str()}")
 
-    cert = contract_measure(nu, args.target, 64, strategy="axis-power")
+    cert = contract_measure(nu, args.target, 64)
     if cert is None:
         print("no certificate found")
         return 1

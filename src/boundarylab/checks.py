@@ -59,13 +59,10 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-GREEDY_STEP_RADIUS = 2  # radius of the ball the greedy-ball strategy searches
-COVERAGE_BALL_CAP = 200_000  # most ball words symbolic coverage enumerates
+COVERAGE_BALL_CAP = 200_000  # most ball words, and target cylinders, a coverage check enumerates
 LIFTING_COVERAGE_SAMPLES = 5  # coverage starts behind contraction-lifting
 WALK_LEN = 8  # longest random walk behind a sampled boundary point
 MAX_DENOM = 64  # sampled weights are proportional to draws from 1..MAX_DENOM
-#: The space each contraction strategy takes (None: boundary or induced).
-STRATEGY_SPACE = {"axis-power": BoundarySpace, "fiber-lift": InducedSpace, "greedy-ball": None}
 
 
 def _verdict(failed: bool, inconclusive: bool) -> str:
@@ -163,8 +160,8 @@ class ContractionCertificate:
         steps = data.get("steps")
         if not (isinstance(steps, list) and all(isinstance(w, str) for w in steps)):
             raise ValueError("certificate.steps: must be a list of word strings")
-        if not is_int(data.get("achieved_depth")):
-            raise ValueError("certificate.achieved_depth: must be an integer")
+        if not (is_int(data.get("achieved_depth")) and data["achieved_depth"] >= 1):
+            raise ValueError("certificate.achieved_depth: must be an integer >= 1")
         if not isinstance(data.get("limit_cylinder"), str):
             raise ValueError("certificate.limit_cylinder: must be a word string")
         return cls(
@@ -293,7 +290,7 @@ def contract_measure(
 ) -> Optional[ContractionCertificate]:
     """Search for a certificate concentrating nu to the target cylinder depth.
 
-    Strategies:
+    The measure's space picks the strategy, and both are exact:
 
     * ``axis-power`` (boundary measures): powers of a single generator, with a
       deterministic perturbation when an atom sits at its repelling end.
@@ -301,15 +298,12 @@ def contract_measure(
       the fiber measure with axis-power in the fiber free group, then lift
       every step lam to t_i lam t_i^-1, which fixes the coset and replays the
       fiber motion exactly.
-    * ``greedy-ball``: repeatedly apply the radius-``GREEDY_STEP_RADIUS`` ball
-      element that most increases the concentration depth (shortlex
-      tie-break); may stall.
 
-    ``strategy=None`` takes the exact one for the measure's space:
-    ``axis-power`` for a boundary measure, ``fiber-lift`` for an induced one.
-    The strategy only finds the steps; the certificate's claim is read off
-    the measure pushed through them, as :func:`replay` does.  Returns None
-    when the budget runs out (inconclusive, never a disproof).
+    ``strategy`` only asserts that choice: a value other than None or the
+    space's own strategy raises ValueError.  The search only finds the
+    steps; the certificate's claim is read off the measure pushed through
+    them, as :func:`replay` does.  Returns None when the budget runs out
+    (inconclusive, never a disproof).
     """
     if isinstance(nu.space, FiniteSpace):
         raise ValueError("finite-space measures use the exhaustive orbit engine")
@@ -317,21 +311,13 @@ def contract_measure(
         raise ValueError("target_depth must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if strategy is None:
-        strategy = "fiber-lift" if isinstance(nu.space, InducedSpace) else "axis-power"
-    if strategy not in STRATEGY_SPACE:
-        raise ValueError(f"unknown contraction strategy {strategy!r}")
-    need = STRATEGY_SPACE[strategy]
-    if need is not None and not isinstance(nu.space, need):
-        raise ValueError(f"{strategy} strategy expects a {need.__name__} measure")
-
-    if strategy == "axis-power":
-        points = [p for p, _ in nu.atoms]
-        steps = _axis_power_steps(points, nu.space.rank, target_depth, budget)
-    elif strategy == "fiber-lift":
+    induced = isinstance(nu.space, InducedSpace)
+    if strategy not in (None, "fiber-lift" if induced else "axis-power"):
+        raise ValueError(f"strategy: {strategy!r} does not fit a {type(nu.space).__name__} measure")
+    if induced:
         steps = _contract_fiber_lift(nu, target_depth, budget)
     else:
-        steps = _contract_greedy(nu, target_depth, budget)
+        steps = _axis_power_steps(nu.support(), nu.space.rank, target_depth, budget)
     if steps is None:
         return None
     final, depth, coset = _push_through(nu, steps)
@@ -354,30 +340,6 @@ def _contract_fiber_lift(nu, target, budget):
         return None
     lifts = {w: space.lift(i, w) for w in set(fsteps)}  # at most two distinct steps
     return [lifts[w] for w in fsteps]
-
-
-def _contract_greedy(nu, target, budget):
-    candidates = [w for w in cached_ball(nu.space.ambient, GREEDY_STEP_RADIUS) if not w.is_identity]
-    cur = nu
-    steps: list[Word] = []
-    while True:
-        depth, _ = concentration(cur)
-        if depth >= target:
-            return steps
-        if len(steps) >= budget:
-            return None
-        best = None
-        best_depth = depth
-        for cand in candidates:
-            trial = pushforward_group(cand, cur)
-            d, _ = concentration(trial)
-            if d > best_depth:
-                best = (cand, trial)
-                best_depth = d
-        if best is None:
-            return None
-        steps.append(best[0])
-        cur = best[1]
 
 
 def certificate_element(cert: ContractionCertificate) -> Optional[Word]:
@@ -531,12 +493,13 @@ def check_minimal_symbolic(space, depth: int, radius: int, samples: int, seed: i
         raise ValueError("depth, radius >= 0 and samples >= 1 required")
     if isinstance(space, InducedSpace):
         n, rank = space.size, space.fiber.rank
-        targets = {(i, c) for i in range(1, n + 1) for c in space.fiber.cylinders(depth)}
+        cyls = space.fiber.cylinders(depth, COVERAGE_BALL_CAP // n)
+        targets = {(i, c) for i in range(1, n + 1) for c in cyls}
         draw = lambda rng: (rng.randint(1, n), sample_boundary_point(rng, rank))
         key = lambda p: (p[0], p[1].expand(depth))
         key_str = lambda k: f"({k[0]}, {letters_to_str(k[1])})"
     else:
-        targets = set(space.cylinders(depth))
+        targets = set(space.cylinders(depth, COVERAGE_BALL_CAP))
         draw = lambda rng: sample_boundary_point(rng, space.rank)
         key = lambda p: p.expand(depth)
         key_str = letters_to_str
@@ -671,11 +634,11 @@ def _fiber_sample(space: InducedSpace, idx: int, seed: int, max_atoms: int):
     return coset, sample_fiber_measure(space, coset, random.Random(seed ^ idx), max_atoms)
 
 
-def _certify(entry: dict, nu: AtomicMeasure, target_depth: int, budget: int, strategy: str):
+def _certify(entry: dict, nu: AtomicMeasure, target_depth: int, budget: int):
     """Contract nu, replay the certificate, and record both in the evidence
     entry.  Returns replay's (ok, detail), or (None, None) when the budget
     runs out."""
-    cert = contract_measure(nu, target_depth, budget, strategy=strategy)
+    cert = contract_measure(nu, target_depth, budget)
     if cert is None:
         entry["certificate"] = None
         return None, None
@@ -692,7 +655,6 @@ def check_sp_extension(
     seed: int = 0,
     target_depth: int = 20,
     budget: int = 64,
-    strategy: str = "fiber-lift",
 ) -> CheckReport:
     """Contract seeded fiber-supported measures through the extension.
 
@@ -707,7 +669,7 @@ def check_sp_extension(
     for idx in range(samples):
         coset, nu = _fiber_sample(phi.source, idx, seed, max_atoms)
         entry = {"sample": idx, "coset": coset, "measure": measure_to_json(nu)}
-        ok, detail = _certify(entry, nu, target_depth, budget, strategy)
+        ok, detail = _certify(entry, nu, target_depth, budget)
         if ok is None:
             inconclusive = True
         else:
@@ -722,7 +684,7 @@ def check_sp_extension(
             "samples": samples,
             "target_depth": target_depth,
             "budget": budget,
-            "strategy": strategy,
+            "strategy": "fiber-lift",
         },
         seed=seed,
         evidence=evidence,
@@ -778,7 +740,7 @@ def check_contraction_lifting(
                 failed = True
                 entry["violation"] = "fiber-supported sample has non-Dirac push-forward"
             else:
-                ok, _ = _certify(entry, nu, target_depth, budget, "fiber-lift")
+                ok, _ = _certify(entry, nu, target_depth, budget)
                 budget_hit = budget_hit or ok is None
                 failed = failed or ok is False
         else:
@@ -842,7 +804,7 @@ def decompose_fibers(
     n = table.size
     rank = space.fiber.rank
     fiber_ctx = FreeGroup(rank)
-    cyls = set(space.fiber.cylinders(depth))
+    cyls = set(space.fiber.cylinders(depth, COVERAGE_BALL_CAP))
     y0 = boundary_point((), (1,))
     evidence = []
     all_ok = True

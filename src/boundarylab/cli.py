@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .checks import STRATEGY_SPACE, contract_measure, replay as replay_steps
+from .checks import contract_measure, replay as replay_steps
 from .measures import measure_from_json
 from .scenario import (
     ScenarioError,
@@ -24,7 +24,7 @@ from .scenario import (
     report_json_text,
     run_scenario,
 )
-from .spaces import BoundarySpace, boundary_point, induced_point_to_str
+from .spaces import boundary_point, induced_point_to_str
 from .words import BudgetExceededError, Word
 
 
@@ -56,12 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_contract = sub.add_parser("contract", help="contract one measure from a file")
     p_contract.add_argument("scenario")
     p_contract.add_argument("--measure", required=True, help="measure JSON path")
-    p_contract.add_argument(
-        "--strategy",
-        default=None,
-        choices=list(STRATEGY_SPACE),
-        help="default: axis-power for a fiber measure, fiber-lift for an induced one",
-    )
     p_contract.add_argument("--target-depth", type=int, default=None)
     p_contract.add_argument("--steps", type=int, default=None)
 
@@ -141,22 +135,14 @@ def _cmd_contract(args) -> int:
         mdata = json.load(fh)
     if not isinstance(mdata, dict) or "atoms" not in mdata:
         raise ScenarioError("measure: must be an object with an 'atoms' list")
-    space_name = mdata.get("space", "induced")
-    if space_name == "induced":
-        space = objs.induced
-    elif space_name == "fiber":
-        space = BoundarySpace(objs.basis.rank)
-    else:
+    space_name = mdata.get("space", "induced")  # it alone picks the contraction strategy
+    if space_name not in ("induced", "fiber"):
         raise ScenarioError("measure.space: must be 'induced' or 'fiber'")
-    need = STRATEGY_SPACE.get(args.strategy)
-    if need is not None and not isinstance(space, need):
-        raise ScenarioError(
-            f"--strategy: {args.strategy} does not fit a measure whose space is {space_name!r}"
-        )
+    space = objs.induced if space_name == "induced" else objs.induced.fiber
     nu = measure_from_json(space, mdata["atoms"])
     target = scenario.depths["target"] if args.target_depth is None else args.target_depth
     steps = scenario.budgets["steps"] if args.steps is None else args.steps
-    cert = contract_measure(nu, target, steps, strategy=args.strategy)
+    cert = contract_measure(nu, target, steps)
     if cert is None:
         print(json.dumps({"verdict": "INCONCLUSIVE", "target_depth": target,
                           "budget_steps": steps}, indent=2, sort_keys=True))

@@ -20,6 +20,7 @@ from .spaces import (
     ExtensionMap,
     FiniteSpace,
     InducedSpace,
+    _count_cylinders,
     cylinder_after,
     induced_point_to_str,
     parse_boundary_point,
@@ -96,12 +97,6 @@ def is_fiber_supported(phi: ExtensionMap, nu: AtomicMeasure) -> Optional[int]:
 
 
 # -- cylinder functions ----------------------------------------------------------
-
-def _count_cylinders(rank: int, depth: int) -> int:
-    if depth == 0:
-        return 1
-    return 2 * rank * (2 * rank - 1) ** (depth - 1)
-
 
 @dataclass(frozen=True)
 class CylinderFunction:

@@ -53,10 +53,6 @@ KNOWN_CHECKS = {
     "amenable-size": "permutation",
 }
 
-#: The contraction strategies a check may name: those that take an induced
-#: fiber measure.
-CHECK_STRATEGIES = ("fiber-lift", "greedy-ball")
-
 
 class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the field."""
@@ -72,6 +68,12 @@ _CHECK_INT_MINIMUMS = {
     "steps": 1,
     "seed": None,
 }
+
+#: The fields ``depths`` and ``budgets`` may set, with their defaults; those
+#: in ``_POSITIVE`` must be >= 1 (a zero target or sample count proves nothing).
+_DEPTH_DEFAULTS = {"cylinder": 1, "target": 20}
+_BUDGET_DEFAULTS = {"ball_radius": 4, "steps": 64, "samples": 20, "max_cosets": 1024}
+_POSITIVE = ("target", "steps", "samples", "max_cosets")
 
 
 def _require(cond: bool, fieldname: str, message: str) -> None:
@@ -129,21 +131,17 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require(bool(sub_words), "subgroup",
                  "free-group scenarios need a nontrivial subgroup")
 
-    for fieldname in ("depths", "budgets"):
-        _require(isinstance(data.get(fieldname, {}), dict), fieldname, "must be an object")
-    depths = dict(data.get("depths", {}))
-    depths.setdefault("cylinder", 1)
-    depths.setdefault("target", 20)
-    budgets = dict(data.get("budgets", {}))
-    budgets.setdefault("ball_radius", 4)
-    budgets.setdefault("steps", 64)
-    budgets.setdefault("samples", 20)
-    budgets.setdefault("max_cosets", 1024)
-    for key, val in {**depths, **budgets}.items():
-        _require(is_int(val) and val >= 0, f"depths/budgets.{key}",
-                 "must be a nonnegative integer")
-    _require(budgets["steps"] >= 1, "budgets.steps", "must be >= 1")
-    _require(budgets["max_cosets"] >= 1, "budgets.max_cosets", "must be >= 1")
+    for fieldname, defaults in (("depths", _DEPTH_DEFAULTS), ("budgets", _BUDGET_DEFAULTS)):
+        given = data.get(fieldname, {})
+        _require(isinstance(given, dict), fieldname, "must be an object")
+        for key, val in given.items():
+            _require(key in defaults, f"{fieldname}.{key}",
+                     f"unknown field; known: {', '.join(defaults)}")
+            low = 1 if key in _POSITIVE else 0
+            _require(is_int(val) and val >= low, f"{fieldname}.{key}",
+                     f"must be an integer >= {low}")
+    depths = {**_DEPTH_DEFAULTS, **data.get("depths", {})}
+    budgets = {**_BUDGET_DEFAULTS, **data.get("budgets", {})}
 
     checks = data.get("checks", [])
     _require(isinstance(checks, list) and checks, "checks", "must be a nonempty list")
@@ -155,14 +153,17 @@ def scenario_from_dict(data: dict) -> Scenario:
                  f"unknown check {c['check']!r}; known: {', '.join(KNOWN_CHECKS)}")
         need = KNOWN_CHECKS[c["check"]] or kind
         _require(need == kind, f"checks[{pos}].check", f"{c['check']!r} needs a {need} group")
-        if "strategy" in c:
-            _require(c["strategy"] in CHECK_STRATEGIES, f"checks[{pos}].strategy",
-                     f"must be one of {', '.join(CHECK_STRATEGIES)}")
-        for key, low in _CHECK_INT_MINIMUMS.items():
-            if key in c:
-                _require(is_int(c[key]) and (low is None or c[key] >= low),
-                         f"checks[{pos}].{key}",
+        for key, val in c.items():
+            if key == "strategy":  # an induced fiber measure fixes it; the field echoes it
+                _require(val == "fiber-lift", f"checks[{pos}].strategy",
+                         "must be 'fiber-lift', the strategy of an induced fiber measure")
+            elif key in _CHECK_INT_MINIMUMS:
+                low = _CHECK_INT_MINIMUMS[key]
+                _require(is_int(val) and (low is None or val >= low), f"checks[{pos}].{key}",
                          "must be an integer" + ("" if low is None else f" >= {low}"))
+            else:
+                _require(key == "check", f"checks[{pos}].{key}", "unknown field; known: "
+                         f"check, strategy, {', '.join(_CHECK_INT_MINIMUMS)}")
 
     extensions = data.get("extensions", [])
     _require(isinstance(extensions, list), "extensions", "must be a list")
@@ -272,9 +273,7 @@ def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
             seed=seed,
         )
     if name == "sp-extension":
-        return check_sp_extension(
-            objs.extension, **contraction, strategy=spec.get("strategy", "fiber-lift")
-        )
+        return check_sp_extension(objs.extension, **contraction)
     if name == "contraction-lifting":
         return check_contraction_lifting(
             objs.extension,
@@ -381,6 +380,8 @@ def replay_certificate(report_data: dict, check_id: str, cert_index: int):
              and all(isinstance(e, dict) and isinstance(e.get("id"), str) for e in entries),
              "checks", "must be a list of objects with a string 'id'")
     scenario = scenario_from_dict(report_data["scenario"])
+    _require(isinstance(scenario.group, FreeGroup), "scenario.group.kind",
+             "certificates replay on induced spaces, which need a free group")
     matches = [e for e in entries if e["id"] == check_id]
     if not matches:
         matches = [e for e in entries if e["id"].partition("-")[2] == check_id]

@@ -27,6 +27,7 @@ from .cosets import (
     rewrite_in_basis,
 )
 from .words import (
+    BudgetExceededError,
     FreeGroup,
     Word,
     alphabet,
@@ -231,9 +232,20 @@ class BoundarySpace:
     def act(self, g: Word, point: BoundaryPoint) -> BoundaryPoint:
         return boundary_act(self.acting_letters(g), point)
 
-    def cylinders(self, depth: int) -> list[tuple[int, ...]]:
-        """All reduced depth-d prefixes (the depth-d cylinder names)."""
+    def cylinders(self, depth: int, max_size: int) -> list[tuple[int, ...]]:
+        """All reduced depth-d prefixes (the depth-d cylinder names); raises
+        :class:`BudgetExceededError`, before building any, past ``max_size``.
+        The count at least triples per letter, so it is compared at a depth
+        clamped to ``max_size.bit_length() + 1``, past which it exceeds the cap."""
+        if _count_cylinders(self.rank, min(depth, max_size.bit_length() + 1)) > max_size:
+            raise BudgetExceededError(f"depth-{depth} cylinders exceed cap {max_size}")
         return list(reduced_layers(self.ambient, depth))[-1]
+
+
+def _count_cylinders(rank: int, depth: int) -> int:
+    if depth == 0:
+        return 1
+    return 2 * rank * (2 * rank - 1) ** (depth - 1)
 
 
 # -- induced spaces ----------------------------------------------------------------

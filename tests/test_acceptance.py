@@ -327,8 +327,7 @@ def test_criterion_05_sp_extension_certificates():
     space = induced_space(table, basis)
     phi = induced_extension(space)
     report = check_sp_extension(phi, max_atoms=5, samples=100, seed=20240601,
-                                target_depth=20, budget=64,
-                                strategy="fiber-lift")
+                                target_depth=20, budget=64)
     assert report.verdict == "PASS"
     replays = 0
     for entry in report.evidence:
@@ -462,7 +461,7 @@ def test_criterion_09_isometry_defect_bridge():
     ladder_radii = (2, 4, 6, 8)
     for trial in range(20):
         nu = sample_boundary_measure(space, random.Random(909 ^ trial), 4)
-        cert = contract_measure(nu, 12, 64, strategy="axis-power")
+        cert = contract_measure(nu, 12, 64)
         assert cert is not None
         ok, _, final = replay(nu, cert)
         assert ok

@@ -1,5 +1,5 @@
 """Source hygiene: no module of the package imports a name it never uses, and
-no public function or class is dead.
+no public function, class or module-level constant is dead.
 
 ``__init__.py`` is exempt from the import check, since importing is how it
 re-exports.  A name counts as used when it appears anywhere in the module
@@ -67,10 +67,24 @@ def _names_in(node, strings: bool = False) -> set[str]:
     return out
 
 
+def _defined_name(node) -> str | None:
+    """The name a module-level function, class or single-name assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target = node.targets[0]
+    elif isinstance(node, ast.AnnAssign):
+        target = node.target
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
+
+
 def unreferenced_definitions(package: dict[str, str], callers: list[str]) -> list[str]:
-    """Public module-level functions and classes of ``package`` (module name
-    -> source) that no other statement of the package reads, ``__init__``
-    does not import, and no caller source uses; as ``module.name``."""
+    """Public module-level functions, classes and constants of ``package``
+    (module name -> source) that no other statement of the package reads,
+    ``__init__`` does not import, and no caller source uses; as
+    ``module.name``."""
     statements = [(module, stmt) for module, source in package.items()
                   for stmt in ast.parse(source).body]
     read = set()
@@ -78,11 +92,11 @@ def unreferenced_definitions(package: dict[str, str], callers: list[str]) -> lis
         read |= _names_in(ast.parse(source), strings=True)
     dead = []
     for module, node in statements:
-        if (module == "__init__" or not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                or node.name.startswith("_") or node.name in read):
+        name = _defined_name(node)
+        if module == "__init__" or name is None or name.startswith("_") or name in read:
             continue
-        if not any(node.name in _names_in(stmt) for _, stmt in statements if stmt is not node):
-            dead.append(f"{module}.{node.name}")
+        if not any(name in _names_in(stmt) for _, stmt in statements if stmt is not node):
+            dead.append(f"{module}.{name}")
     return sorted(dead)
 
 
@@ -90,11 +104,12 @@ def test_unreferenced_definitions_finds_dead_code():
     package = {
         "a": "def live():\n    return helper()\n\ndef helper():\n    return 1\n\n"
              "def dead():\n    return dead()\n\nclass Exported:\n    pass\n\n"
-             "def traced():\n    pass\n\ndef _private():\n    pass\n",
+             "def traced():\n    pass\n\ndef _private():\n    pass\n\n"
+             "CAP = 3\nSTEP: int = 2\nUSED = CAP\n_HIDDEN = 1\nx, y = 1, 2\n",
         "__init__": "from .a import Exported\n",
     }
-    callers = ["from boundarylab import a\na.live()\nPLAN = ('a', 'traced')\n"]
-    assert unreferenced_definitions(package, callers) == ["a.dead"]
+    callers = ["from boundarylab import a\na.live()\nPLAN = ('a', 'traced')\nprint(a.USED)\n"]
+    assert unreferenced_definitions(package, callers) == ["a.STEP", "a.dead"]
 
 
 def test_every_public_definition_is_reachable():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -118,6 +119,21 @@ def test_budget_exceeded_surfaces_as_inconclusive(capsys):
     assert not report.has_fail()
 
 
+def test_deep_cylinders_are_inconclusive_before_enumeration():
+    # 4 * 3^39 depth-40 cylinders: the cap is checked before any is built
+    scenario = scenario_from_dict({**SMALL_SCENARIO, "checks": [
+        {"check": "minimal-symbolic", "depth": 40, "samples": 1},
+        {"check": "contraction-lifting", "depth": 40, "samples": 2},
+        {"check": "decompose-fibers", "depth": 40},
+    ]})
+    started = time.perf_counter()
+    report = run_scenario(scenario)
+    assert time.perf_counter() - started < 10
+    for entry in report.checks:
+        assert entry["report"].verdict == "INCONCLUSIVE"
+        assert "cylinders exceed cap" in entry["report"].evidence[0]["budget_exceeded"]
+
+
 def test_scenario_objects_lazy_build():
     objs = ScenarioObjects(scenario_from_dict(SMALL_SCENARIO))
     assert objs.table.size == 2
@@ -223,6 +239,17 @@ def _with_extension(**changes):
      "checks[0].strategy"),
     ({**SMALL_SCENARIO, "checks": [{"check": ["sp-extension"]}]}, "checks[0].check"),
     ({**SMALL_SCENARIO, "subgroup": ["aa", "b"]}, "subgroup: "),
+    ({**SMALL_SCENARIO, "checks": [{"check": "sp-extension", "strategy": "greedy-ball"}]},
+     "checks[0].strategy"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "minimal-symbolic", "sampels": 1}]},
+     "checks[0].sampels"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "minimal-finite"}, {"check": "sp-extension",
+                                                                 "budget": 8}]},
+     "checks[1].budget"),
+    ({**SMALL_SCENARIO, "depths": {"cylinder": 1, "targte": 8}}, "depths.targte"),
+    ({**SMALL_SCENARIO, "budgets": {"ball_radius": 3, "step": 32}}, "budgets.step"),
+    ({**SMALL_SCENARIO, "budgets": {"samples": 0}}, "budgets.samples"),
+    ({**SMALL_SCENARIO, "depths": {"target": 0}}, "depths.target"),
 ])
 def test_cli_malformed_field_exits_2(tmp_path, capsys, scenario, fieldname):
     path = tmp_path / "malformed.json"
@@ -286,13 +313,15 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
      "measure: atom weights sum to 9999999999999999/10000000000000000, not 1"),
     ("contract", lambda _: {"atoms": [{"point": "(x, |a)", "weight": "1"}]}, "point:"),
     ("contract", lambda _: {"atoms": [{"point": "(2, |a!)", "weight": "1"}]}, "point:"),
+    ("replay", _tamper_certificate("achieved_depth", -2), "certificate.achieved_depth"),
+    ("replay", _tamper_certificate("achieved_depth", 0), "certificate.achieved_depth"),
 ], ids=["report-list", "no-scenario", "no-checks", "int-steps", "str-measure",
         "str-achieved-depth", "bare-atom-list", "no-atoms", "atom-without-weight",
         "str-atoms", "coset-above-index", "replay-coset-above-index",
         "replay-negative-coset", "integer-fiber-point", "zero-denominator-weight",
         "induced-letter-above-fiber-rank", "fiber-letter-above-rank",
         "weights-sum-below-one", "float-thirds-inexact", "non-integer-coset",
-        "bad-word-character"])
+        "bad-word-character", "negative-achieved-depth", "zero-achieved-depth"])
 def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper, fieldname):
     report = json.loads(report_json_text(run_scenario(scenario_from_dict(SMALL_SCENARIO))))
     path = tmp_path / "tampered.json"
@@ -367,6 +396,22 @@ def test_cli_replay_roundtrip(tiny_path, tmp_path, capsys):
                  "--cert", str(idx)]) == 1
 
 
+def test_cli_replay_on_a_permutation_group_names_the_group_kind(tmp_path, capsys):
+    # certificates live on induced spaces, which a permutation group has none of
+    entry = _first_certificate(json.loads(report_json_text(
+        run_scenario(scenario_from_dict(SMALL_SCENARIO)))))
+    report = json.loads(report_json_text(run_scenario(load_bundled_scenario("s3-amenable"))))
+    assert report["checks"][0]["id"] == "01-minimal-finite"
+    report["checks"][0]["evidence"][0].update(measure=entry["measure"],
+                                              certificate=entry["certificate"])
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(report))
+    assert main(["replay", str(path), "--check", "01-minimal-finite", "--cert", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.group.kind" in err
+    assert "Traceback" not in err
+
+
 def test_cli_high_index_kernel_scenario(tmp_path, capsys):
     # kernel of F2 -> Z/30: Schreier rank 31, so fiber letters above 26 are
     # serialized as {n} tokens in the report and parsed back on replay
@@ -424,7 +469,7 @@ def test_cli_contract(tiny_path, tmp_path, capsys):
     assert data["verdict"] == "PASS"
     assert data["certificate"]["limit_coset"] == 2
 
-    # with no --strategy, a fiber-space measure takes axis-power
+    # a fiber-space measure takes axis-power, the strategy its space fixes
     measure = {
         "space": "fiber",
         "atoms": [
@@ -437,21 +482,6 @@ def test_cli_contract(tiny_path, tmp_path, capsys):
     assert main(["contract", tiny_path, "--measure", str(mpath2)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "PASS"
-
-
-@pytest.mark.parametrize("space, atoms, strategy", [
-    ("induced", ATOMS, "axis-power"),
-    ("fiber", [{"point": "|a", "weight": "1/2"}, {"point": "|b", "weight": "1/2"}],
-     "fiber-lift"),
-])
-def test_cli_contract_strategy_must_fit_the_measure_space(tiny_path, tmp_path, capsys,
-                                                          space, atoms, strategy):
-    mpath = tmp_path / "measure.json"
-    mpath.write_text(json.dumps({"space": space, "atoms": atoms}))
-    assert main(["contract", tiny_path, "--measure", str(mpath), "--strategy", strategy]) == 2
-    err = capsys.readouterr().err
-    assert "--strategy" in err and repr(space) in err
-    assert "Traceback" not in err
 
 
 def test_cli_contract_decimal_weights_are_exact(tiny_path, tmp_path, capsys):
@@ -472,9 +502,8 @@ def test_group_kind_and_strategy_rejected_at_load():
                                                           {"check": check}]})
     with pytest.raises(ScenarioError, match="checks\\[0\\].check: 'amenable-size' needs a perm"):
         scenario_from_dict({**SMALL_SCENARIO, "checks": [{"check": "amenable-size"}]})
-    for strategy in ("fiber-lift", "greedy-ball"):
-        scenario_from_dict({**SMALL_SCENARIO,
-                            "checks": [{"check": "sp-extension", "strategy": strategy}]})
+    scenario_from_dict({**SMALL_SCENARIO,
+                        "checks": [{"check": "sp-extension", "strategy": "fiber-lift"}]})
     scenario_from_dict({**S3_SCENARIO, "checks": [{"check": "minimal-finite"}]})
 
 

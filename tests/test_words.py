@@ -148,7 +148,11 @@ def test_ball_sizes_free():
             assert len(ball(FreeGroup(rank), radius)) == size
         for depth in range(5):
             sphere = [w.letters for w in ball(FreeGroup(rank), depth) if len(w) == depth]
-            assert BoundarySpace(rank).cylinders(depth) == sphere
+            assert BoundarySpace(rank).cylinders(depth, len(sphere)) == sphere
+            with pytest.raises(BudgetExceededError):  # counted, not built
+                BoundarySpace(rank).cylinders(depth, len(sphere) - 1)
+        with pytest.raises(BudgetExceededError):
+            BoundarySpace(rank).cylinders(10**9, 10**6)
 
 
 def test_ball_is_shortlex_sorted_and_reduced():
