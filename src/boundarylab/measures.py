@@ -20,13 +20,12 @@ from .spaces import (
     ExtensionMap,
     FiniteSpace,
     InducedSpace,
-    _count_cylinders,
-    cylinder_after,
     induced_point_to_str,
     parse_boundary_point,
     parse_induced_point,
 )
-from .words import Word, cached_ball, letters_to_str
+from .words import (DEFAULT_BALL_CAP, Word, _count_cylinders, alphabet, check_ball_size,
+                    letters_to_str)
 
 
 @dataclass(frozen=True)
@@ -123,15 +122,6 @@ class CylinderFunction:
             best = max(best, abs(self.default))
         return best
 
-    def key_of(self, point):
-        if self.cosets is None:
-            return point.expand(self.depth)
-        i, y = point
-        return (i, y.expand(self.depth))
-
-    def value_at(self, point) -> float:
-        return self.values.get(self.key_of(point), self.default)
-
     def to_json(self) -> dict:
         entries = []
         for key, v in self.values.items():
@@ -165,31 +155,66 @@ class BallFunction:
 
 # -- Poisson transform ------------------------------------------------------------
 
-def _poisson_value(nu: AtomicMeasure, f: CylinderFunction, s: Word) -> float:
-    space = nu.space
-    total = 0.0
-    if isinstance(space, BoundarySpace) and f.cosets is None:
-        letters = space.acting_letters(s)
-        for p, w in nu.atoms:
-            total += float(w) * f.values.get(
-                cylinder_after(letters, p, f.depth), f.default
-            )
+def _poisson_walk(nu: AtomicMeasure, f: CylinderFunction, radius: int, probes=()):
+    """(letters of s, P(f)(s) = sum of float(w) * f(s . p) over the atoms in
+    order) for every reduced s with |s| <= radius, depth first by prepending
+    letters, then for each probe.  An atom's state is (coset, y), y a prefix
+    of the fiber point (coset None: of the boundary point).  A letter moves
+    the coset and emits at most one fiber letter, which cancels y's head or is
+    shifted in, so d + n letters keep the depth-d cylinder exact for n steps.
+    """
+    space, d, get, default = nu.space, f.depth, f.values.get, f.default
+    ctx = space.ambient
+    letters = alphabet(ctx)
+    if isinstance(space, BoundarySpace):
+        fits, points = (space.rank, None), [(None, p) for p, _ in nu.atoms]
+        moves = {l: {None: (None, (l,))} for l in letters}
+    elif isinstance(space, InducedSpace):
+        fits, points = (space.fiber.rank, space.size), [p for p, _ in nu.atoms]
+        moves = {l: {i: space.beta(Word(ctx, (l,)), i) for i in space.table.points()}
+                 for l in letters}
+    else:
+        raise ValueError(f"nu.space: a {type(space).__name__} has no cylinder functions")
+    if (f.rank, f.cosets) != fits:
+        raise ValueError(f"{'f.rank' if f.cosets == fits[1] else 'f.cosets'}: rank {f.rank} "
+                         f"on {f.cosets} cosets, but the space has {fits[0]} on {fits[1]}")
+    weights = [float(w) for _, w in nu.atoms]
+
+    def step(states, l):
+        out, row = [], moves[l]
+        for c, y in states:
+            c, e = row[c]
+            if e:
+                y = y[1:] if y[0] == -e[0] else e + y
+            out.append((c, y))
+        return out
+
+    def value(states):
+        total = 0.0
+        for (c, y), w in zip(states, weights):
+            total += w * get(y[:d] if c is None else (c, y[:d]), default)
         return total
-    for p, w in nu.atoms:
-        total += float(w) * f.value_at(space.act(s, p))
-    return total
+
+    check_ball_size(ctx, radius, DEFAULT_BALL_CAP)
+    stack = [((), [(c, y.expand(d + radius)) for c, y in points])]
+    while stack:
+        s, states = stack.pop()
+        yield s, value(states)
+        if len(s) < radius:
+            stack.extend(((l,) + s, step(states, l)) for l in letters if not s or l != -s[0])
+    for s in probes:
+        if s.ctx != ctx:
+            raise ValueError("probe: word is not over the measure's group")
+        states = [(c, y.expand(d + len(s))) for c, y in points]
+        for l in reversed(s.letters):
+            states = step(states, l)
+        yield s.letters, value(states)
 
 
-def poisson_transform(
-    nu: AtomicMeasure,
-    f: CylinderFunction,
-    radius: int,
-) -> BallFunction:
+def poisson_transform(nu: AtomicMeasure, f: CylinderFunction, radius: int) -> BallFunction:
     """s -> integral of f(s . x) d nu(x), over the radius-R word ball."""
-    values = {}
-    for s in cached_ball(nu.space.ambient, radius):
-        values[s] = _poisson_value(nu, f, s)
-    return BallFunction(radius, values)
+    ctx = nu.space.ambient
+    return BallFunction(radius, {Word(ctx, s): v for s, v in _poisson_walk(nu, f, radius)})
 
 
 def isometry_defect(
@@ -204,9 +229,11 @@ def isometry_defect(
     Returns ``max(0, ||f|| - max |P(f)(s)|)`` with s ranging over the word
     ball of the given radius (capped at ``max_enumeration_radius`` when the
     full ball is too large to enumerate) together with any ``probes`` of
-    length <= radius.  Enlarging the explored set can only shrink the result,
-    so the value is monotone non-increasing in the radius and, when a probe
-    attains ||f||, exactly zero.
+    length <= radius, at one letter step per ball word and atom.  Enlarging
+    the explored set can only shrink the result, so the value is monotone
+    non-increasing in the radius.  Each P(f)(s) is a float sum in atom order,
+    so attaining ||f|| gives zero up to rounding only (exactness is ROADMAP
+    item 8).
     """
     norm = f.norm()
     if norm <= 0:
@@ -214,13 +241,8 @@ def isometry_defect(
     enum_radius = radius
     if max_enumeration_radius is not None:
         enum_radius = min(radius, max_enumeration_radius)
-    best = 0.0
-    for s in cached_ball(nu.space.ambient, enum_radius):
-        best = max(best, abs(_poisson_value(nu, f, s)))
-    for s in probes:
-        if len(s) <= radius:
-            best = max(best, abs(_poisson_value(nu, f, s)))
-    return max(0.0, norm - best)
+    probes = [s for s in probes if len(s) <= radius]
+    return max(0.0, norm - max(abs(v) for _, v in _poisson_walk(nu, f, enum_radius, probes)))
 
 
 # -- serialization ------------------------------------------------------------------

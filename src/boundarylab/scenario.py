@@ -153,6 +153,8 @@ def scenario_from_dict(data: dict) -> Scenario:
                  f"unknown check {c['check']!r}; known: {', '.join(KNOWN_CHECKS)}")
         need = KNOWN_CHECKS[c["check"]] or kind
         _require(need == kind, f"checks[{pos}].check", f"{c['check']!r} needs a {need} group")
+        _require(KNOWN_CHECKS[c["check"]] != "free" or group.rank >= 2, "group.rank",
+                 f"must be >= 2 for {c['check']!r}: its fiber, a subgroup of Z, has rank 1")
         for key, val in c.items():
             if key == "strategy":  # an induced fiber measure fixes it; the field echoes it
                 _require(val == "fiber-lift", f"checks[{pos}].strategy",

@@ -30,6 +30,7 @@ from .words import (
     BudgetExceededError,
     FreeGroup,
     Word,
+    _count_cylinders,
     alphabet,
     letters_from_str,
     letters_to_str,
@@ -223,14 +224,10 @@ class BoundarySpace:
     def ambient(self) -> FreeGroup:
         return FreeGroup(self.rank)
 
-    def acting_letters(self, g: Word) -> tuple[int, ...]:
-        """The letters of an acting word, checked to lie in FreeGroup(rank)."""
+    def act(self, g: Word, point: BoundaryPoint) -> BoundaryPoint:
         if g.ctx != self.ambient:
             raise ValueError("word is not over the boundary's free group")
-        return g.letters
-
-    def act(self, g: Word, point: BoundaryPoint) -> BoundaryPoint:
-        return boundary_act(self.acting_letters(g), point)
+        return boundary_act(g.letters, point)
 
     def cylinders(self, depth: int, max_size: int) -> list[tuple[int, ...]]:
         """All reduced depth-d prefixes (the depth-d cylinder names); raises
@@ -240,12 +237,6 @@ class BoundarySpace:
         if _count_cylinders(self.rank, min(depth, max_size.bit_length() + 1)) > max_size:
             raise BudgetExceededError(f"depth-{depth} cylinders exceed cap {max_size}")
         return list(reduced_layers(self.ambient, depth))[-1]
-
-
-def _count_cylinders(rank: int, depth: int) -> int:
-    if depth == 0:
-        return 1
-    return 2 * rank * (2 * rank - 1) ** (depth - 1)
 
 
 # -- induced spaces ----------------------------------------------------------------
@@ -269,12 +260,17 @@ class InducedSpace:
     def size(self) -> int:
         return self.table.size
 
-    def act(self, gamma: Word, point) -> tuple:
-        i, y = point
+    def beta(self, gamma: Word, i: int) -> tuple[int, tuple[int, ...]]:
+        """(j, the basis letters of beta(gamma, i) = t_j^-1 gamma t_i) with j the
+        coset of gamma t_i: gamma sends (i, y) to (j, beta(gamma, i) . y)."""
         gt = gamma * self.table.rep(i)
         j = self.table.coset_of(gt)
         beta = self.table.rep(j).inverse() * gt
-        return (j, boundary_act(rewrite_in_basis(self.table, self.basis, beta).letters, y))
+        return j, rewrite_in_basis(self.table, self.basis, beta).letters
+
+    def act(self, gamma: Word, point) -> tuple:
+        j, letters = self.beta(gamma, point[0])
+        return (j, boundary_act(letters, point[1]))
 
     def lift(self, i: int, w: Word) -> Word:
         """The ambient element t_i w t_i^-1 for a fiber word w: it fixes coset

@@ -306,16 +306,26 @@ def ball(ctx: FreeGroup, radius: int, max_size: int = DEFAULT_BALL_CAP) -> tuple
     """
     if not isinstance(ctx, FreeGroup):
         raise ValueError(f"balls are enumerated in free groups only, not a {type(ctx).__name__}")
+    check_ball_size(ctx, radius, max_size)
+    return tuple(Word(ctx, ls) for layer in reduced_layers(ctx, radius) for ls in layer)
+
+
+def _count_cylinders(rank: int, depth: int) -> int:
+    if depth == 0:
+        return 1
+    return 2 * rank * (2 * rank - 1) ** (depth - 1)
+
+
+def check_ball_size(ctx: FreeGroup, radius: int, max_size: int) -> None:
+    """Raise :class:`BudgetExceededError` when the radius-R ball, counted in
+    closed form, holds more than ``max_size`` words."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    words: list[Word] = []
-    for layer in reduced_layers(ctx, radius):
-        if len(words) + len(layer) > max_size:
-            raise BudgetExceededError(
-                f"ball of radius {radius} exceeds cap {max_size}"
-            )
-        words.extend(Word(ctx, ls) for ls in layer)
-    return tuple(words)
+    size = 0
+    for k in range(radius + 1):
+        size += _count_cylinders(ctx.rank, k)
+        if size > max_size:
+            raise BudgetExceededError(f"ball of radius {radius} exceeds cap {max_size}")
 
 
 @lru_cache(maxsize=128)

@@ -12,7 +12,15 @@ from collections import deque
 from boundarylab.checks import _points_depth, concentration
 from boundarylab.cosets import InfiniteIndexError, _canonicalize, _find, rewrite_in_basis
 from boundarylab.measures import pushforward_group
-from boundarylab.spaces import BoundaryPoint, InducedSpace, _divisors, boundary_act, boundary_point
+from boundarylab.spaces import (
+    BoundaryPoint,
+    BoundarySpace,
+    InducedSpace,
+    _divisors,
+    boundary_act,
+    boundary_point,
+    cylinder_after,
+)
 from boundarylab.words import (
     BudgetExceededError,
     FreeGroup,
@@ -113,6 +121,60 @@ def atom_sort_key(p):
         return (p.prefix, p.period)
     i, y = p
     return (i, y.prefix, y.period)
+
+
+def cylinder_key(point, depth):
+    """The depth-d cylinder of a boundary point; (coset, fiber cylinder) of an
+    induced point."""
+    if isinstance(point, BoundaryPoint):
+        return point.expand(depth)
+    i, y = point
+    return (i, y.expand(depth))
+
+
+def cylinder_value(f, point):
+    """f at a boundary or induced point."""
+    return f.values.get(cylinder_key(point, f.depth), f.default)
+
+
+def per_word_value(nu, f, s):
+    """P(f)(s) by acting on every atom with the whole word s: the first depth
+    letters of s . p through ``cylinder_after`` on a boundary, the image
+    point through ``space.act`` on an induced space."""
+    space = nu.space
+    total = 0.0
+    if isinstance(space, BoundarySpace):
+        if s.ctx != space.ambient:
+            raise ValueError("word is not over the boundary's free group")
+        for p, w in nu.atoms:
+            total += float(w) * f.values.get(cylinder_after(s.letters, p, f.depth), f.default)
+        return total
+    for p, w in nu.atoms:
+        total += float(w) * cylinder_value(f, space.act(s, p))
+    return total
+
+
+def per_word_poisson_transform(nu, f, radius):
+    """{s: P(f)(s)} over the shortlex ball, one whole-word evaluation per word."""
+    return {s: per_word_value(nu, f, s) for s in cached_ball(nu.space.ambient, radius)}
+
+
+def per_word_defect(nu, f, radius, probes=(), max_enumeration_radius=None):
+    """The isometry defect with one whole-word evaluation per ball word and
+    probe, maximised in shortlex order."""
+    norm = f.norm()
+    if norm <= 0:
+        raise ValueError("isometry defect needs a function with positive norm")
+    enum_radius = radius
+    if max_enumeration_radius is not None:
+        enum_radius = min(radius, max_enumeration_radius)
+    best = 0.0
+    for s in cached_ball(nu.space.ambient, enum_radius):
+        best = max(best, abs(per_word_value(nu, f, s)))
+    for s in probes:
+        if len(s) <= radius:
+            best = max(best, abs(per_word_value(nu, f, s)))
+    return max(0.0, norm - best)
 
 
 def four_step_act(space, gamma, point):

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import atom_sort_key
+from oracles import (
+    atom_sort_key,
+    cylinder_key,
+    cylinder_value,
+    per_word_defect,
+    per_word_poisson_transform,
+    per_word_value,
+)
 
 from boundarylab import (
     BoundarySpace,
@@ -15,21 +22,25 @@ from boundarylab import (
     dirac,
     generator,
     identity,
+    induced_space,
     is_fiber_supported,
     isometry_defect,
     parse_word,
     poisson_transform,
     pushforward_group,
     pushforward_map,
+    schreier_basis,
 )
 from boundarylab.checks import sample_boundary_point, sample_fiber_measure
 from boundarylab.measures import (
+    _poisson_walk,
     measure_from_json,
     measure_to_json,
     point_from_json,
     weight_from_json,
 )
-from boundarylab.words import cached_ball
+from boundarylab.spaces import BoundaryPoint
+from boundarylab.words import DEFAULT_BALL_CAP, BudgetExceededError, cached_ball
 
 F2 = FreeGroup(2)
 Y2 = BoundarySpace(2)
@@ -180,7 +191,7 @@ def test_poisson_dirac_matches_direct_evaluation():
     f = CylinderFunction(rank=2, depth=2, values={(1, 2): 1.0, (2, 1): -0.5})
     bf = poisson_transform(nu, f, 2)
     for s in cached_ball(F2, 2):
-        assert bf.values[s] == f.value_at(Y2.act(s, xi))
+        assert bf.values[s] == cylinder_value(f, Y2.act(s, xi))
 
 
 def test_poisson_unital_and_bounded():
@@ -229,6 +240,11 @@ def test_defect_zero_cases():
     assert isometry_defect(nu, f, 0) == 0.0  # identity already attains the norm
     const = CylinderFunction(rank=2, depth=1, values={}, default=0.7)
     assert isometry_defect(half_half(), const, 0) == 0.0
+    # a float sum in atom order: ten atoms of 1/10 where f = 1 reach ||f|| up to rounding
+    tenths = atomic_measure(Y2, [(boundary_point((1,) + (2, 1) * k, (2,)), Fraction(1, 10))
+                                 for k in range(10)])
+    assert len(tenths.atoms) == 10
+    assert 0.0 <= isometry_defect(tenths, CylinderFunction(2, 1, {(1,): 1.0}), 0) <= 2e-16
 
 
 def test_defect_monotone_in_radius():
@@ -256,6 +272,87 @@ def test_defect_ignores_overlong_probes():
                               max_enumeration_radius=0)
     assert with_probe == 0.0   # probe length 8 <= radius 8: counted
     assert clipped == 1.0      # probe longer than the radius: ignored
+
+
+@pytest.fixture(scope="session")
+def walk_spaces(index2_induced, index3_table):
+    return [Y2, BoundarySpace(3), index2_induced,
+            induced_space(index3_table, schreier_basis(index3_table))]
+
+
+@given(space_pos=st.integers(0, 3), depth=st.integers(0, 4), radius=st.integers(0, 5),
+       natoms=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       enum_radius=st.one_of(st.none(), st.integers(0, 5)))
+def test_walk_matches_per_word_oracle(walk_spaces, space_pos, depth, radius, natoms, seed,
+                                      enum_radius):
+    # the tree walk gives the very floats of one whole-word evaluation per ball word
+    space = walk_spaces[space_pos]
+    boundary = isinstance(space, BoundarySpace)
+    rank = space.rank if boundary else space.fiber.rank
+    rng = random.Random(seed)
+    pts = [sample_boundary_point(rng, rank, walk_len=rng.randint(0, 8)) for _ in range(natoms)]
+    if not boundary:
+        pts = [(rng.randint(1, space.size), y) for y in pts]
+    raw = [rng.randint(1, 9) for _ in pts]
+    nu = atomic_measure(space, [(p, Fraction(k, sum(raw))) for p, k in zip(pts, raw)])
+    # values on cylinders the walk visits, so that the sums are not all default
+    ctx = space.ambient
+    keys = {cylinder_key(space.act(s, p), depth)
+            for s in cached_ball(ctx, min(radius, 2)) for p in nu.support()}
+    values = {k: rng.uniform(-1, 1) for k in sorted(keys, key=repr) if rng.random() < 0.7}
+    f = CylinderFunction(rank, depth, values, cosets=None if boundary else space.size,
+                         default=rng.choice([0.0, 0.3, -0.6]))
+    probes = [rng.choice(cached_ball(ctx, radius + 2)) for _ in range(3)]
+    assert poisson_transform(nu, f, radius).values == per_word_poisson_transform(nu, f, radius)
+    # each probe, over the radius or not, by the same one-letter step
+    assert (list(_poisson_walk(nu, f, 0, probes))[1:]
+            == [(s.letters, per_word_value(nu, f, s)) for s in probes])
+    if f.norm() > 0:
+        assert (isometry_defect(nu, f, radius, probes, enum_radius)
+                == per_word_defect(nu, f, radius, probes, enum_radius))
+
+
+def test_defect_cap_checked_before_walking(monkeypatch):
+    # |ball(F2, 12)| = 1 + 2 (3^12 - 1) = 1,062,881 > DEFAULT_BALL_CAP >= |ball(F2, 11)|
+    assert DEFAULT_BALL_CAP == 1_000_000
+    nu = half_half()
+    f = CylinderFunction(rank=2, depth=1, values={(1,): 1.0})
+
+    def walked(self, n):
+        raise AssertionError("a point was expanded before the cap check")
+
+    monkeypatch.setattr(BoundaryPoint, "expand", walked)
+    for call in (lambda: isometry_defect(nu, f, 12),
+                 lambda: isometry_defect(nu, f, 40, max_enumeration_radius=12),
+                 lambda: poisson_transform(nu, f, 12)):
+        with pytest.raises(BudgetExceededError, match="^ball of radius 12 exceeds cap 1000000$"):
+            call()
+    monkeypatch.undo()
+    assert isometry_defect(nu, f, 40, max_enumeration_radius=1) == 0.0
+
+
+def test_function_must_fit_the_measure_space(index2_induced, index2_table):
+    nu = half_half()
+    fiber_nu = dirac(index2_induced, (1, A_INF))
+    cases = [
+        (nu, CylinderFunction(2, 1, {(1,): 1.0}, cosets=2), "f.cosets"),
+        (nu, CylinderFunction(3, 1, {(3,): 1.0}), "f.rank"),
+        (fiber_nu, CylinderFunction(3, 1, {(1,): 1.0}), "f.cosets"),
+        (fiber_nu, CylinderFunction(3, 1, {(1, (1,)): 1.0}, cosets=3), "f.cosets"),
+        (fiber_nu, CylinderFunction(2, 1, {(1, (1,)): 1.0}, cosets=2), "f.rank"),
+    ]
+    for measure, f, fieldname in cases:
+        with pytest.raises(ValueError, match=rf"^{fieldname}: "):
+            isometry_defect(measure, f, 2)
+        with pytest.raises(ValueError, match=rf"^{fieldname}: "):
+            poisson_transform(measure, f, 2)
+    # a finite space has no cylinder functions
+    f = CylinderFunction(2, 1, {(1,): 1.0})
+    with pytest.raises(ValueError, match="^nu.space: a CosetTable"):
+        isometry_defect(dirac(index2_table, 1), f, 2)
+    # a probe from another free group is refused when it is evaluated
+    with pytest.raises(ValueError, match="probe"):
+        isometry_defect(nu, f, 2, probes=[parse_word(FreeGroup(3), "c")])
 
 
 def test_defect_requires_nonzero_norm():

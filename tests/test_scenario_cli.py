@@ -412,6 +412,21 @@ def test_cli_replay_on_a_permutation_group_names_the_group_kind(tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_cli_rank_one_free_group_names_group_rank(tmp_path, capsys):
+    # every finite-index subgroup of Z has rank 1, so it has no fiber boundary
+    scenario = {**SMALL_SCENARIO, "group": {"kind": "free", "rank": 1}, "subgroup": ["aa"]}
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "group.rank" in err and "'sp-extension'" in err
+    assert "Traceback" not in err
+    # without an induced-space check the scenario loads and runs
+    path.write_text(json.dumps({**scenario, "checks": [{"check": "minimal-finite"}]}))
+    assert main(["run", str(path)]) == 0
+    assert "01-minimal-finite: PASS" in capsys.readouterr().out
+
+
 def test_cli_high_index_kernel_scenario(tmp_path, capsys):
     # kernel of F2 -> Z/30: Schreier rank 31, so fiber letters above 26 are
     # serialized as {n} tokens in the report and parsed back on replay

@@ -18,6 +18,7 @@ from boundarylab import (
 )
 from boundarylab.words import (
     alphabet,
+    check_ball_size,
     compose_perms,
     identity_perm,
     letters_from_str,
@@ -153,6 +154,25 @@ def test_ball_sizes_free():
                 BoundarySpace(rank).cylinders(depth, len(sphere) - 1)
         with pytest.raises(BudgetExceededError):
             BoundarySpace(rank).cylinders(10**9, 10**6)
+
+
+def test_ball_cap_is_counted_before_building():
+    # the cap holds at exactly the ball's size, and one below it raises
+    for rank in (1, 2, 3):
+        ctx = FreeGroup(rank)
+        for radius in range(4):
+            size = len(ball(ctx, radius))
+            assert len(ball(ctx, radius, size)) == size
+            check_ball_size(ctx, radius, size)
+            with pytest.raises(BudgetExceededError,
+                               match=f"^ball of radius {radius} exceeds cap {size - 1}$"):
+                ball(ctx, radius, size - 1)
+    with pytest.raises(BudgetExceededError):  # counted, so a huge radius costs nothing
+        ball(F2, 10**9)
+    with pytest.raises(BudgetExceededError):
+        check_ball_size(FreeGroup(1), 10**6, 10**6)
+    with pytest.raises(ValueError, match="radius"):
+        check_ball_size(F2, -1, 10)
 
 
 def test_ball_is_shortlex_sorted_and_reduced():
