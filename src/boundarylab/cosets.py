@@ -19,6 +19,10 @@ Conventions (used consistently across the package):
   ``beta(g1 g2, i) = beta(g1, j) beta(g2, i)``, so ``cocycle`` satisfies the
   law with the factors swapped:
   ``cocycle(g1 g2, i) = cocycle(g2, i) cocycle(g1, j)``.
+* ``rewrite_in_basis(table, basis, g, i)`` gives ``(j, beta(g, i))`` over the
+  Schreier basis in one right-to-left scan of g from coset i, by the law
+  above (Reidemeister-Schreier rewriting); ``cocycle`` stays for permutation
+  tables, which have no Schreier basis.
 """
 
 from __future__ import annotations
@@ -139,6 +143,8 @@ class CosetTable(FiniteSpace):
         return self.act(w, 1)
 
     def rep(self, i: int) -> Word:
+        if not 1 <= i <= self.size:
+            raise ValueError(f"coset index {i} out of range 1..{self.size}")
         return self.transversal[i - 1]
 
     def to_json(self) -> dict:
@@ -304,8 +310,6 @@ def cocycle(table: CosetTable, gamma: Word, i: int) -> Word:
 
     Computed exactly as (gamma t_i)^-1 t_j where j is the coset of gamma t_i.
     """
-    if not 1 <= i <= table.size:
-        raise ValueError(f"coset index {i} out of range 1..{table.size}")
     gt = gamma * table.rep(i)
     return gt.inverse() * table.rep(table.coset_of(gt))
 
@@ -316,15 +320,16 @@ def cocycle(table: CosetTable, gamma: Word, i: int) -> Word:
 class SchreierBasis:
     """Free basis of a finite-index subgroup of a free group.
 
-    ``generators[j-1]`` is the ambient word of basis letter j; ``pair_index``
-    maps the nontrivial (positive letter, source coset) pairs to basis letters.
-    Built from a coset table whose transversal is suffix-closed.
+    ``generators[j-1]`` is the ambient word of basis letter j, and
+    ``steps[l][c-1] = (c', b)``: letter l moves coset c to c', and beta(l, c)
+    is basis letter b (negative: its inverse; 0: trivial).  Built from a coset
+    table whose transversal is suffix-closed.
     """
 
     ambient: FreeGroup
     rank: int
     generators: tuple[Word, ...]
-    pair_index: dict = field(repr=False)
+    steps: dict = field(repr=False)
 
     def free_group(self) -> FreeGroup:
         return FreeGroup(self.rank)
@@ -336,51 +341,44 @@ def schreier_basis(table: CosetTable) -> SchreierBasis:
     if not isinstance(ctx, FreeGroup):
         raise ValueError("Schreier basis requires a free ambient group")
     gens: list[Word] = []
-    pair_index: dict = {}
+    steps = {l: [None] * table.size for l in alphabet(ctx)}
     for x in range(1, ctx.rank + 1):
-        xw = Word(ctx, (x,))
         for i in range(1, table.size + 1):
             j = table.act_letter(x, i)
-            s = table.rep(j).inverse() * xw * table.rep(i)
-            if s.is_identity:
-                continue
-            gens.append(s)
-            pair_index[(x, i)] = len(gens)
+            s = table.rep(j).inverse() * Word(ctx, (x,)) * table.rep(i)
+            b = 0 if s.is_identity else len(gens) + 1
+            if b:
+                gens.append(s)
+            steps[x][i - 1], steps[-x][j - 1] = (j, b), (i, -b)
     expected = 1 + table.size * (ctx.rank - 1)
     if len(gens) != expected:
         raise AssertionError(
             f"Schreier rank {len(gens)} != 1 + n(k-1) = {expected}"
         )
-    return SchreierBasis(ctx, len(gens), tuple(gens), pair_index)
+    return SchreierBasis(ctx, len(gens), tuple(gens), {l: tuple(r) for l, r in steps.items()})
 
 
-def rewrite_in_basis(table: CosetTable, basis: SchreierBasis, lam: Word) -> Word:
-    """Rewrite a subgroup element as a word over the Schreier basis.
+def rewrite_in_basis(table: CosetTable, basis: SchreierBasis, gamma: Word,
+                     i: int) -> tuple[int, Word]:
+    """(j, beta = t_j^-1 gamma t_i over the Schreier basis), j the coset of
+    gamma t_i, so that gamma sends the induced point (i, y) to (j, beta . y).
 
-    Scans left to right, tracking the coset of the remaining suffix and
-    emitting one basis letter per input letter (none for tree edges).  The
-    output evaluates back to the input exactly, and the map is a homomorphism
-    up to free reduction.  The scan ends at the coset of lam^-1, which is 1
-    exactly when lam lies in the subgroup; otherwise it raises ValueError.
+    Scans gamma right to left from coset i, one table step per letter, then
+    reverses and reduces the emitted basis letters once.  From i = 1, j is 1
+    exactly when gamma lies in the subgroup, and then beta evaluates back to
+    gamma; the map is a homomorphism there up to free reduction.
     """
-    if lam.ctx != table.ambient:
+    if gamma.ctx != table.ambient:
         raise ValueError("word from a different context")
+    if not 1 <= i <= table.size:
+        raise ValueError(f"coset index {i} out of range 1..{table.size}")
     out: list[int] = []
-    c = 1
-    for l in lam.letters:
-        nc = table.act_letter(-l, c)
-        if l > 0:
-            idx = basis.pair_index.get((l, nc))
-            if idx is not None:
-                out.append(idx)
-        else:
-            idx = basis.pair_index.get((-l, c))
-            if idx is not None:
-                out.append(-idx)
-        c = nc
-    if c != 1:
-        raise ValueError("word is not in the subgroup (coset != 1)")
-    return Word(basis.free_group(), reduce_letters(out))
+    steps = basis.steps
+    for l in reversed(gamma.letters):
+        i, b = steps[l][i - 1]
+        if b:
+            out.append(b)
+    return i, Word(basis.free_group(), reduce_letters(out[::-1]))
 
 
 def eval_in_ambient(basis: SchreierBasis, w: Word) -> Word:

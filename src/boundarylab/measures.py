@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .cosets import rewrite_in_basis
 from .spaces import (
     BoundaryPoint,
     BoundarySpace,
@@ -112,6 +113,18 @@ class CylinderFunction:
     cosets: Optional[int] = None
     default: float = 0.0
 
+    def __post_init__(self) -> None:
+        for key in self.values:
+            try:  # each letter in range and not cancelling the one before it
+                i, w = (1, key) if self.cosets is None else key
+                ok = (1 <= i <= (self.cosets or 1) and len(w) == self.depth
+                      and all(0 < abs(l) <= self.rank and l != -m for l, m in zip(w, (0,) + w)))
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"values: key {key!r} is not a reduced depth-{self.depth} "
+                                 f"cylinder for rank={self.rank}, cosets={self.cosets}")
+
     def total_cylinders(self) -> int:
         n = _count_cylinders(self.rank, self.depth)
         return n * (self.cosets or 1)
@@ -171,7 +184,8 @@ def _poisson_walk(nu: AtomicMeasure, f: CylinderFunction, radius: int, probes=()
         moves = {l: {None: (None, (l,))} for l in letters}
     elif isinstance(space, InducedSpace):
         fits, points = (space.fiber.rank, space.size), [p for p, _ in nu.atoms]
-        moves = {l: {i: space.beta(Word(ctx, (l,)), i) for i in space.table.points()}
+        moves = {l: {i: (j, beta.letters) for i in space.table.points() for j, beta in
+                     [rewrite_in_basis(space.table, space.basis, Word(ctx, (l,)), i)]}
                  for l in letters}
     else:
         raise ValueError(f"nu.space: a {type(space).__name__} has no cylinder functions")

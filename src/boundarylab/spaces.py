@@ -9,7 +9,8 @@ equality is decidable and every action is exact (no truncation anywhere).
 Induced points are pairs ``(coset index, fiber point)``, the fiber being the
 boundary of the subgroup's Schreier basis.  A group element moves the coset
 by the left action and moves the fiber through the coset cocycle: the fiber
-coordinate is hit by ``beta(g, i) = t_j^-1 g t_i`` rewritten in the basis.
+coordinate is hit by ``beta(g, i) = t_j^-1 g t_i``, which ``rewrite_in_basis``
+reads off over the basis from one scan of g, with no product of ambient words.
 """
 
 from __future__ import annotations
@@ -260,17 +261,9 @@ class InducedSpace:
     def size(self) -> int:
         return self.table.size
 
-    def beta(self, gamma: Word, i: int) -> tuple[int, tuple[int, ...]]:
-        """(j, the basis letters of beta(gamma, i) = t_j^-1 gamma t_i) with j the
-        coset of gamma t_i: gamma sends (i, y) to (j, beta(gamma, i) . y)."""
-        gt = gamma * self.table.rep(i)
-        j = self.table.coset_of(gt)
-        beta = self.table.rep(j).inverse() * gt
-        return j, rewrite_in_basis(self.table, self.basis, beta).letters
-
     def act(self, gamma: Word, point) -> tuple:
-        j, letters = self.beta(gamma, point[0])
-        return (j, boundary_act(letters, point[1]))
+        j, beta = rewrite_in_basis(self.table, self.basis, gamma, point[0])
+        return (j, boundary_act(beta.letters, point[1]))
 
     def lift(self, i: int, w: Word) -> Word:
         """The ambient element t_i w t_i^-1 for a fiber word w: it fixes coset

@@ -187,8 +187,9 @@ def four_step_act(space, gamma, point):
     j = table.coset_of(gt)
     lam = gt.inverse() * table.rep(j)
     lam_inv = lam.inverse()
-    assert table.coset_of(lam_inv) == 1
-    return (j, boundary_act(rewrite_in_basis(table, space.basis, lam_inv).letters, y))
+    c, beta = rewrite_in_basis(table, space.basis, lam_inv, 1)
+    assert c == 1
+    return (j, boundary_act(beta.letters, y))
 
 
 class FrozenFiberSpace(InducedSpace):

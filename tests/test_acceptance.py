@@ -306,10 +306,10 @@ def test_criterion_04_rewriting_round_trip_and_rank():
     rng = random.Random(404)
     for _ in range(1000):
         lam1, lam2 = rng.choice(members), rng.choice(members)
-        w1 = rewrite_in_basis(table, basis, lam1)
-        w2 = rewrite_in_basis(table, basis, lam2)
-        assert eval_in_ambient(basis, w1) == lam1
-        assert rewrite_in_basis(table, basis, lam1 * lam2) == w1 * w2
+        j1, w1 = rewrite_in_basis(table, basis, lam1, 1)
+        j2, w2 = rewrite_in_basis(table, basis, lam2, 1)
+        assert (j1, j2) == (1, 1) and eval_in_ambient(basis, w1) == lam1
+        assert rewrite_in_basis(table, basis, lam1 * lam2, 1) == (1, w1 * w2)
     assert _verdict(
         "criterion 4 (rewriting round-trip + homomorphism, ranks 3/4)", True,
         f"1000 sampled pairs from the radius-6 subgroup ball "

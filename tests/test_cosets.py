@@ -279,21 +279,25 @@ def test_schreier_requires_free_ambient(s3_table):
 
 
 def test_rewrite_fixed_points(index2_table, index2_basis):
-    assert rewrite_in_basis(index2_table, index2_basis, identity(F2)).is_identity
+    r3 = index2_basis.free_group()
+    for i in index2_table.points():
+        assert rewrite_in_basis(index2_table, index2_basis, identity(F2), i) == (i, identity(r3))
     for j, g in enumerate(index2_basis.generators, start=1):
-        assert rewrite_in_basis(index2_table, index2_basis, g).letters == (j,)
+        assert rewrite_in_basis(index2_table, index2_basis, g, 1) == (1, word(r3, (j,)))
 
 
 def test_rewrite_rejects_non_members(index2_table, index2_basis):
-    with pytest.raises(ValueError):
-        rewrite_in_basis(index2_table, index2_basis, generator(F2, 1))
+    # a is not in the subgroup: its scan from coset 1 ends at coset 2, and the
+    # fiber factor t_2^-1 a is trivial
+    j, beta = rewrite_in_basis(index2_table, index2_basis, generator(F2, 1), 1)
+    assert (j, beta.is_identity) == (2, True)
 
 
 def test_rewrite_round_trip_on_ball(index2_table, index2_basis):
     members = [w for w in ball(F2, 6) if index2_table.coset_of(w) == 1]
     for lam in members:
-        back = eval_in_ambient(index2_basis, rewrite_in_basis(index2_table, index2_basis, lam))
-        assert back == lam
+        j, beta = rewrite_in_basis(index2_table, index2_basis, lam, 1)
+        assert j == 1 and eval_in_ambient(index2_basis, beta) == lam
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8),
@@ -307,9 +311,9 @@ def test_rewrite_homomorphism(ls1, ls2):
     r3 = FreeGroup(3)
     lam1 = eval_in_ambient(basis, word(r3, ls1))
     lam2 = eval_in_ambient(basis, word(r3, ls2))
-    lhs = rewrite_in_basis(table, basis, lam1 * lam2)
-    rhs = rewrite_in_basis(table, basis, lam1) * rewrite_in_basis(table, basis, lam2)
-    assert lhs == rhs
+    lhs = rewrite_in_basis(table, basis, lam1 * lam2, 1)
+    rhs = rewrite_in_basis(table, basis, lam1, 1)[1] * rewrite_in_basis(table, basis, lam2, 1)[1]
+    assert lhs == (1, rhs)
 
 
 def _random_word(rng, ctx, max_len=12):
@@ -339,7 +343,7 @@ def test_act_matches_four_step_oracle(case, seed):
 
 @settings(max_examples=200)
 @given(generator_sets(modes=("stabilizer", "extended")), st.integers(0, 2**32))
-def test_rewrite_raises_iff_not_a_member(case, seed):
+def test_rewrite_ends_at_coset_1_iff_a_member(case, seed):
     table = enumerate_cosets(case[0])
     basis = schreier_basis(table)
     rng = random.Random(seed)
@@ -347,12 +351,27 @@ def test_rewrite_raises_iff_not_a_member(case, seed):
         w = _random_word(rng, table.ambient)
         if rng.random() < 0.5:  # a member, as a product of basis words
             w = eval_in_ambient(basis, _random_word(rng, basis.free_group()))
-        try:
-            back = eval_in_ambient(basis, rewrite_in_basis(table, basis, w))
-        except ValueError:
-            assert table.coset_of(w) != 1
-        else:
-            assert table.coset_of(w) == 1 and back == w
+        j, beta = rewrite_in_basis(table, basis, w, 1)
+        assert (j == 1) == (table.coset_of(w) == 1)
+        if j == 1:
+            assert eval_in_ambient(basis, beta) == w
+
+
+@settings(max_examples=200)
+@given(generator_sets(min_rank=2, modes=("stabilizer", "extended")), st.integers(0, 2**32))
+def test_rewrite_from_every_coset_against_word_products(case, seed):
+    # the one-scan rewrite from coset i against the definition of beta, built
+    # from Word products and the basis substitution only
+    table = enumerate_cosets(case[0])
+    basis = schreier_basis(table)
+    rng = random.Random(seed)
+    for _ in range(10):
+        gamma = _random_word(rng, table.ambient)
+        for i in table.points():
+            j, beta = rewrite_in_basis(table, basis, gamma, i)
+            assert j == table.coset_of(gamma * table.rep(i))
+            assert eval_in_ambient(basis, beta) == table.rep(j).inverse() * gamma * table.rep(i)
+        assert (rewrite_in_basis(table, basis, gamma, 1)[0] == 1) == (table.coset_of(gamma) == 1)
 
 
 def test_cocycle_against_independent_form(index2_table, index3_table):
@@ -392,7 +411,8 @@ def test_random_point_stabilizers_round_trip():
         assert basis.rank == 1 + m * (2 - 1)
         members = [w for w in ball(F2, 5) if table.coset_of(w) == 1]
         for lam in members[:: max(1, len(members) // 40)]:
-            assert eval_in_ambient(basis, rewrite_in_basis(table, basis, lam)) == lam
+            j, beta = rewrite_in_basis(table, basis, lam, 1)
+            assert j == 1 and eval_in_ambient(basis, beta) == lam
         # transversal words are shortlex-minimal representatives
         for i in range(1, table.size + 1):
             rep = table.rep(i)
@@ -416,8 +436,8 @@ def test_non_normal_subgroup_round_trip():
     members = [w for w in ball(F2, 6) if table.coset_of(w) == 1]
     for _ in range(100):
         lam = rng.choice(members)
-        back = eval_in_ambient(basis, rewrite_in_basis(table, basis, lam))
-        assert back == lam
+        j, beta = rewrite_in_basis(table, basis, lam, 1)
+        assert j == 1 and eval_in_ambient(basis, beta) == lam
 
 
 @settings(max_examples=200)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -331,11 +332,27 @@ def test_defect_cap_checked_before_walking(monkeypatch):
     assert isometry_defect(nu, f, 40, max_enumeration_radius=1) == 0.0
 
 
+def test_cylinder_keys_are_checked_at_construction():
+    # a stray key counted toward norm(): on the Dirac at ab|a it turned a
+    # radius-3 defect of 0.0 into 4.0
+    nu = dirac(BoundarySpace(2), boundary_point((1, 2), (1,)))
+    assert isometry_defect(nu, CylinderFunction(2, 2, {(1, 2): 1.0}), 3) == 0.0
+    for stray in [(1,), (1, 3), (1, -1), (0, 1), (1, "b"), 5]:
+        with pytest.raises(ValueError, match=rf"^values: key {re.escape(repr(stray))} is not"):
+            CylinderFunction(2, 2, {(1, 2): 1.0, stray: 5.0})
+    # on an induced space a key is (coset in 1..cosets, reduced depth-d tuple)
+    CylinderFunction(3, 2, {(1, (2, -3)): 1.0, (2, (-1, -1)): 0.5}, cosets=2)
+    for stray in [(0, (1, 2)), (3, (1, 2)), (-1, (1, 2)), (1, (4, 1)), (1, (1, -1)),
+                  (1, (1,)), (1, 2), ((1, 2), 1), (1, (1, 2), 3)]:
+        with pytest.raises(ValueError, match=rf"^values: key {re.escape(repr(stray))} is not"):
+            CylinderFunction(3, 2, {stray: 1.0}, cosets=2)
+
+
 def test_function_must_fit_the_measure_space(index2_induced, index2_table):
     nu = half_half()
     fiber_nu = dirac(index2_induced, (1, A_INF))
     cases = [
-        (nu, CylinderFunction(2, 1, {(1,): 1.0}, cosets=2), "f.cosets"),
+        (nu, CylinderFunction(2, 1, {(1, (1,)): 1.0}, cosets=2), "f.cosets"),
         (nu, CylinderFunction(3, 1, {(3,): 1.0}), "f.rank"),
         (fiber_nu, CylinderFunction(3, 1, {(1,): 1.0}), "f.cosets"),
         (fiber_nu, CylinderFunction(3, 1, {(1, (1,)): 1.0}, cosets=3), "f.cosets"),

@@ -25,7 +25,7 @@ from boundarylab import (
     stabilizer_subgroup,
     word,
 )
-from boundarylab.cosets import eval_in_ambient
+from boundarylab.cosets import cocycle, eval_in_ambient
 from boundarylab.checks import sample_boundary_point
 from boundarylab.spaces import (
     boundary_act,
@@ -260,16 +260,31 @@ def test_subgroup_acts_on_the_fiber_over_coset_1(induced):
     assert len(lams) > 10
     for lam in lams:
         y = sample_boundary_point(rng, basis.rank)
-        moved = boundary_act(rewrite_in_basis(table, basis, lam).letters, y)
-        assert induced.act(lam, (1, y)) == (1, moved)
+        j, beta = rewrite_in_basis(table, basis, lam, 1)
+        assert j == 1 and eval_in_ambient(basis, beta) == lam
+        assert induced.act(lam, (1, y)) == (1, boundary_act(beta.letters, y))
 
 
 def test_subgroup_fiber_action_hand_oracle(index2_induced):
     # rewrite by hand: aab = (aa)(b) = fiber letters (1, 2)
     y = boundary_point((), (2,))
     assert index2_induced.act(parse_word(F2, "aab"), (1, y)) == (1, boundary_act((1, 2), y))
-    with pytest.raises(ValueError):  # a is not in the subgroup
-        rewrite_in_basis(index2_induced.table, index2_induced.basis, generator(F2, 1))
+    # a is not in the subgroup: it leaves the fiber over coset 1
+    a = generator(F2, 1)
+    assert rewrite_in_basis(index2_induced.table, index2_induced.basis, a, 1)[0] == 2
+    assert index2_induced.act(a, (1, y)) == (2, y)
+
+
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_coset_out_of_range_is_named(index2_induced, i):
+    # at coset 0, act used to read transversal[-1] and answer silently
+    ab, y = parse_word(F2, "ab"), boundary_point((), (1,))
+    calls = (lambda: index2_induced.act(ab, (i, y)),
+             lambda: index2_induced.lift(i, word(FreeGroup(3), (1,))),
+             lambda: cocycle(index2_induced.table, ab, i))
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^coset index {i} out of range 1\.\.2$"):
+            call()
 
 
 @given(fiber_letters=st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8),
