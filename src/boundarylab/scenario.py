@@ -42,32 +42,27 @@ from .words import (BudgetExceededError, FreeGroup, PermutationGroup, Word, is_i
 
 REPORT_SCHEMA = "boundarylab-report/1"
 
-#: Each known check and the group kind it needs (None: either kind).  The
-#: induced-space checks need a free group, the size dichotomy a finite one.
+_CONTRACTION = {"max_atoms": 1, "samples": 1, "seed": None, "target_depth": 1, "steps": 1}
+_COVERAGE = {"depth": 0, "radius": 0, "samples": 1, "seed": None}
+
+#: Each known check: the group kind it needs (None: either kind) and the
+#: integer fields ``_run_check`` reads for it, with their minimums (None: any
+#: integer).  The induced-space checks need a free group, the size dichotomy a
+#: finite one.  ``sp-extension`` also takes ``strategy``, which its
+#: parameters echo.
 KNOWN_CHECKS = {
-    "minimal-finite": None,
-    "minimal-symbolic": "free",
-    "sp-extension": "free",
-    "contraction-lifting": "free",
-    "decompose-fibers": "free",
-    "amenable-size": "permutation",
+    "minimal-finite": (None, {}),
+    "minimal-symbolic": ("free", _COVERAGE),
+    "sp-extension": ("free", _CONTRACTION),
+    "contraction-lifting": ("free", {**_CONTRACTION, "depth": 0, "radius": 0}),
+    "decompose-fibers": ("free", _COVERAGE),
+    "amenable-size": ("permutation", {}),
 }
 
 
 class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the field."""
 
-
-#: Minimum value of each integer field a check spec may set (None: any integer).
-_CHECK_INT_MINIMUMS = {
-    "depth": 0,
-    "radius": 0,
-    "samples": 1,
-    "max_atoms": 1,
-    "target_depth": 1,
-    "steps": 1,
-    "seed": None,
-}
 
 #: The fields ``depths`` and ``budgets`` may set, with their defaults; those
 #: in ``_POSITIVE`` must be >= 1 (a zero target or sample count proves nothing).
@@ -96,7 +91,7 @@ class Scenario:
 
 def scenario_from_dict(data: dict) -> Scenario:
     _require(isinstance(data, dict), "<root>", "scenario must be a JSON object")
-    _require("name" in data, "name", "missing")
+    _require(isinstance(data.get("name"), str), "name", "must be a string")
     _require("seed" in data, "seed", "missing (no implicit randomness)")
     _require(is_int(data["seed"]), "seed", "must be an integer")
 
@@ -108,7 +103,8 @@ def scenario_from_dict(data: dict) -> Scenario:
                  "group.rank", "must be an integer >= 1")
         group = FreeGroup(gspec["rank"])
     elif kind == "permutation":
-        _require(is_int(gspec.get("degree")), "group.degree", "must be an integer")
+        _require(is_int(gspec.get("degree")) and gspec["degree"] >= 1,
+                 "group.degree", "must be an integer >= 1")
         gens = gspec.get("generators")
         _require(isinstance(gens, list) and gens, "group.generators", "must be a nonempty list")
         _require(all(isinstance(g, list) and all(is_int(v) for v in g) for g in gens),
@@ -151,21 +147,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require(isinstance(c["check"], str) and c["check"] in KNOWN_CHECKS,
                  f"checks[{pos}].check",
                  f"unknown check {c['check']!r}; known: {', '.join(KNOWN_CHECKS)}")
-        need = KNOWN_CHECKS[c["check"]] or kind
-        _require(need == kind, f"checks[{pos}].check", f"{c['check']!r} needs a {need} group")
-        _require(KNOWN_CHECKS[c["check"]] != "free" or group.rank >= 2, "group.rank",
+        need, fields = KNOWN_CHECKS[c["check"]]
+        _require((need or kind) == kind, f"checks[{pos}].check",
+                 f"{c['check']!r} needs a {need} group")
+        _require(need != "free" or group.rank >= 2, "group.rank",
                  f"must be >= 2 for {c['check']!r}: its fiber, a subgroup of Z, has rank 1")
+        echoed = ("strategy",) if c["check"] == "sp-extension" else ()
         for key, val in c.items():
-            if key == "strategy":  # an induced fiber measure fixes it; the field echoes it
+            if key in echoed:  # an induced fiber measure fixes it; the field echoes it
                 _require(val == "fiber-lift", f"checks[{pos}].strategy",
                          "must be 'fiber-lift', the strategy of an induced fiber measure")
-            elif key in _CHECK_INT_MINIMUMS:
-                low = _CHECK_INT_MINIMUMS[key]
+            elif key in fields:
+                low = fields[key]
                 _require(is_int(val) and (low is None or val >= low), f"checks[{pos}].{key}",
                          "must be an integer" + ("" if low is None else f" >= {low}"))
             else:
-                _require(key == "check", f"checks[{pos}].{key}", "unknown field; known: "
-                         f"check, strategy, {', '.join(_CHECK_INT_MINIMUMS)}")
+                _require(key == "check", f"checks[{pos}].{key}", f"not a field of "
+                         f"{c['check']!r}; known: {', '.join(('check', *echoed, *fields))}")
 
     extensions = data.get("extensions", [])
     _require(isinstance(extensions, list), "extensions", "must be a list")
@@ -173,6 +171,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         for fieldname in ("name", "size", "action", "projection"):
             _require(isinstance(e, dict) and fieldname in e,
                      f"extensions[{pos}].{fieldname}", "missing")
+        _require(isinstance(e["name"], str), f"extensions[{pos}].name", "must be a string")
         _require(is_int(e["size"]) and e["size"] >= 1, f"extensions[{pos}].size",
                  "must be an integer >= 1")
         _require(isinstance(e["projection"], list) and len(e["projection"]) == e["size"],
@@ -235,13 +234,13 @@ class ScenarioObjects:
     def candidate_spaces(self) -> list:
         out = []
         group = self.scenario.group
-        for cand in self.scenario.extensions:
+        for pos, cand in enumerate(self.scenario.extensions):
             perms = [cand["action"][letters_to_str((x,))] for x in range(1, group.rank + 1)]
             space = FiniteSpace.make(group, cand["size"], perms)
             n = self.table.size
             if not all(is_int(v) and 1 <= v <= n for v in cand["projection"]):
                 raise ScenarioError(
-                    f"extensions[{cand['name']}].projection: values must lie in 1..{n}"
+                    f"extensions[{pos}].projection: values must lie in 1..{n}"
                 )
             out.append(
                 {"name": cand["name"], "space": space,

@@ -52,12 +52,12 @@ EQUAL = math.inf
 class BoundaryPoint:
     """Eventually periodic reduced infinite word, in normal form.
 
-    Build through :func:`boundary_point`; direct construction skips
-    normalization.  Normal form: the period is cyclically reduced and
-    primitive, the seam prefix/period carries no cancellation, and the prefix
-    is the shortest possible (its last letter differs from the period's last
-    letter).  Structural equality then coincides with equality of the infinite
-    expansions.
+    Build through :func:`boundary_point` (:func:`boundary_act` expects its
+    normal form; direct construction skips it).  Normal form: the period is
+    cyclically reduced and primitive, the seam prefix/period carries no
+    cancellation, and the prefix is the shortest possible (its last letter
+    differs from the period's last letter).  Structural equality then
+    coincides with equality of the infinite expansions.
     """
 
     prefix: tuple[int, ...]
@@ -103,6 +103,19 @@ def boundary_point(prefix, period) -> BoundaryPoint:
     prefix = reduce_letters(prefix + period[:s])
     period = period[s:n - s]
 
+    # primitive root, taken before _seat rotates it: rotations stay primitive
+    n = len(period)
+    for d in _divisors(n):
+        if period == period[:d] * (n // d):
+            period = period[:d]
+            break
+    return _seat(prefix, period)
+
+
+def _seat(prefix: tuple[int, ...], period: tuple[int, ...]) -> BoundaryPoint:
+    """The normal form of prefix . period . period . ..., for a reduced prefix
+    and a cyclically reduced, primitive period: the seam is the only place
+    left to cancel or to shorten."""
     # rotate the period into the prefix while the seam cancels
     n = len(period)
     c = 0
@@ -112,21 +125,13 @@ def boundary_point(prefix, period) -> BoundaryPoint:
     c %= n
     period = period[c:] + period[:c]
 
-    # primitive root
-    for d in _divisors(n):
-        if period == period[:d] * (n // d):
-            period = period[:d]
-            break
-
     # shortest prefix: strip trailing letters that extend the periodic tail
-    n = len(period)
     t = 0
     while t < len(prefix) and prefix[-1 - t] == period[-1 - t % n]:
         t += 1
     prefix = prefix[:len(prefix) - t]
     t %= n
     period = period[n - t:] + period[:n - t]
-
     return BoundaryPoint(prefix, period)
 
 
@@ -158,17 +163,12 @@ def common_prefix_depth(x1: BoundaryPoint, x2: BoundaryPoint):
 
 
 def boundary_act(g_letters: tuple[int, ...], point: BoundaryPoint) -> BoundaryPoint:
-    """Left concatenation g . point with cancellation resolved exactly.
-
-    The periodic tail is expanded just far enough (|g| letters plus one spare
-    period) that all cancellation happens inside the expanded prefix.
-    """
-    m = len(g_letters)
-    if m == 0:
+    """Left concatenation g . point, exact, for a point in the normal form
+    :func:`boundary_point` builds: left multiplication keeps the period
+    cyclically reduced and primitive, so only the seam moves."""
+    if not g_letters:
         return point
-    copies = m // len(point.period) + 2
-    ext = point.prefix + point.period * copies
-    return boundary_point(reduce_letters(g_letters + ext), point.period)
+    return _seat(reduce_letters(g_letters + point.prefix), point.period)
 
 
 def cylinder_after(g_letters: tuple[int, ...], point: BoundaryPoint, depth: int) -> tuple[int, ...]:

@@ -231,6 +231,18 @@ def sliced_boundary_point(prefix, period):
     return BoundaryPoint(prefix, period)
 
 
+def padded_boundary_act(g_letters, point):
+    """g . point by padding the tail with |g| // |period| + 2 periods, so that
+    all cancellation happens inside the padded prefix, reducing, and
+    normalising the result from scratch with ``sliced_boundary_point``."""
+    m = len(g_letters)
+    if m == 0:
+        return point
+    copies = m // len(point.period) + 2
+    ext = point.prefix + point.period * copies
+    return sliced_boundary_point(reduce_letters(tuple(g_letters) + ext), point.period)
+
+
 def stepwise_axis_power_steps(points, rank, target, budget):
     """Axis-power search by acting with the first generator one step at a
     time and re-measuring the depth of every point after each step."""

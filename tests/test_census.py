@@ -1,0 +1,80 @@
+"""Every subgroup of small index of F2 and F3, as the acceptance test of the
+checks: a census instead of the two bundled subgroups.
+
+An index-n subgroup of F_k is the stabiliser of 1 in a transitive action of k
+permutations of 1..n, and its coset table determines it, so listing the
+actions and deduplicating the tables lists the subgroups.  Their numbers are
+Hall's (M. Hall, "Subgroups of finite index in free groups", Canad. J. Math.
+1, 1949).
+"""
+
+import itertools
+import json
+
+import pytest
+
+from boundarylab import FiniteSpace, FreeGroup, enumerate_cosets, stabilizer_subgroup
+from boundarylab.scenario import report_json_text, run_scenario, scenario_from_dict
+
+
+def small_subgroups(rank: int, max_index: int) -> list:
+    """The coset tables of all subgroups of F_rank of index <= max_index, in
+    order of index, each the stabiliser of 1 in a transitive action of rank
+    permutations, deduplicated by table JSON."""
+    ctx = FreeGroup(rank)
+    tables = {}
+    for n in range(1, max_index + 1):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for action in itertools.product(perms, repeat=rank):
+            space = FiniteSpace.make(ctx, n, action)
+            if space.is_transitive():
+                table = enumerate_cosets(stabilizer_subgroup(space, 1), max_cosets=n)
+                tables.setdefault(json.dumps(table.to_json(), sort_keys=True), table)
+    return list(tables.values())
+
+
+@pytest.fixture(scope="module")
+def census():
+    return {2: small_subgroups(2, 4), 3: small_subgroups(3, 2)}
+
+
+@pytest.mark.parametrize("rank, counts", [
+    (2, {1: 1, 2: 3, 3: 13, 4: 71}),
+    (3, {1: 1, 2: 7}),
+])
+def test_census_counts_are_halls(census, rank, counts):
+    tables = census[rank]
+    assert {n: sum(t.size == n for t in tables) for n in counts} == counts
+    assert all(t.coset_of(h) == 1 for t in tables for h in t.subgroup.generators)
+
+
+# small sample counts, so that the sweep over all 96 subgroups takes seconds
+CENSUS_CHECKS = [
+    {"check": "minimal-finite"},
+    {"check": "minimal-symbolic", "depth": 1, "radius": 2, "samples": 1},
+    {"check": "sp-extension", "max_atoms": 3, "samples": 2, "target_depth": 6, "steps": 32},
+    {"check": "contraction-lifting", "max_atoms": 2, "samples": 1, "target_depth": 4,
+     "radius": 2},
+    {"check": "decompose-fibers", "radius": 2, "depth": 1, "samples": 1},
+]
+
+
+def test_every_check_on_every_census_subgroup(census):
+    verdicts = {}
+    for rank, tables in census.items():
+        for table in tables:
+            gens = [h.to_str() for h in table.subgroup.generators]
+            scenario = scenario_from_dict({
+                "name": f"F{rank} > <{', '.join(gens)}>",
+                "group": {"kind": "free", "rank": rank},
+                "subgroup": gens,
+                "seed": table.size,
+                "checks": CENSUS_CHECKS,
+            })
+            report = json.loads(report_json_text(run_scenario(scenario), include_timing=False))
+            for entry in report["checks"]:
+                verdicts[(scenario.name, entry["id"])] = entry["verdict"]
+    assert len(verdicts) == len(CENSUS_CHECKS) * sum(map(len, census.values()))
+    assert [k for k, v in verdicts.items() if v == "FAIL"] == []
+    assert [k for k, v in verdicts.items()
+            if k[1].endswith(("sp-extension", "decompose-fibers")) and v != "PASS"] == []

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses, and
-no public function, class or module-level constant is dead.
+"""Source hygiene: no module of the package imports a name it never uses, no
+public function, class or module-level constant is dead, and every listed
+mutant still applies to the source.
 
 ``__init__.py`` is exempt from the import check, since importing is how it
 re-exports.  A name counts as used when it appears anywhere in the module
@@ -12,6 +13,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from mutants import MUTANTS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "boundarylab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -116,3 +119,19 @@ def test_every_public_definition_is_reachable():
     package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert unreferenced_definitions(package, callers) == []
+
+
+# -- mutants -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutant_still_applies(mutant):
+    """Each edit's snippet occurs exactly once in the source as the edits before
+    it leave it, and each killing test is defined; no mutant is run here."""
+    sources = {}
+    for name, snippet, replacement in mutant.edits:
+        text = sources.get(name) or (PACKAGE / name).read_text(encoding="utf-8")
+        assert text.count(snippet) == 1, (name, snippet)
+        sources[name] = text.replace(snippet, replacement)
+    for test in mutant.tests:
+        path, _, func = test.partition("::")
+        assert f"def {func}(" in (ROOT / path).read_text(encoding="utf-8"), test

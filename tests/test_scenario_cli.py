@@ -205,7 +205,7 @@ def _with_extension(**changes):
      "checks[0].target_depth"),
     (_with_extension(projection=[1, 2, 3]), "extensions[0].projection"),
     (_with_extension(size="6"), "extensions[0].size"),
-    (_with_extension(projection=[1, 2, 3, 1, 2, 4]), "extensions[cover].projection"),
+    (_with_extension(projection=[1, 2, 3, 1, 2, 4]), "extensions[0].projection"),
     ({**S3_SCENARIO, "group": {**S3_SCENARIO["group"], "generators": [None, [1, 2, 0]]}},
      "group.generators"),
     ({**S3_SCENARIO, "group": {**S3_SCENARIO["group"], "degree": True}}, "group.degree"),
@@ -250,6 +250,10 @@ def _with_extension(**changes):
     ({**SMALL_SCENARIO, "budgets": {"ball_radius": 3, "step": 32}}, "budgets.step"),
     ({**SMALL_SCENARIO, "budgets": {"samples": 0}}, "budgets.samples"),
     ({**SMALL_SCENARIO, "depths": {"target": 0}}, "depths.target"),
+    ({**S3_SCENARIO, "group": {**S3_SCENARIO["group"], "degree": 0}}, "group.degree"),
+    ({**SMALL_SCENARIO, "name": ["tiny"]}, "name: "),
+    ({k: v for k, v in SMALL_SCENARIO.items() if k != "name"}, "name: "),
+    (_with_extension(name=["cover"]), "extensions[0].name"),
 ])
 def test_cli_malformed_field_exits_2(tmp_path, capsys, scenario, fieldname):
     path = tmp_path / "malformed.json"
@@ -520,6 +524,35 @@ def test_group_kind_and_strategy_rejected_at_load():
     scenario_from_dict({**SMALL_SCENARIO,
                         "checks": [{"check": "sp-extension", "strategy": "fiber-lift"}]})
     scenario_from_dict({**S3_SCENARIO, "checks": [{"check": "minimal-finite"}]})
+
+
+# per check: a field it reads, and one that it never reads (at the parent each
+# of these loaded, and the run ignored the field)
+UNREAD_FIELDS = [
+    ("minimal-finite", "free", None, "samples"),
+    ("minimal-finite", "free", None, "seed"),
+    ("minimal-symbolic", "free", "radius", "strategy"),
+    ("minimal-symbolic", "free", "depth", "steps"),
+    ("sp-extension", "free", "target_depth", "radius"),
+    ("sp-extension", "free", "steps", "depth"),
+    ("contraction-lifting", "free", "radius", "strategy"),
+    ("decompose-fibers", "free", "radius", "max_atoms"),
+    ("decompose-fibers", "free", "samples", "steps"),
+    ("amenable-size", "permutation", None, "depth"),
+]
+
+
+@pytest.mark.parametrize("check, kind, read, unread", UNREAD_FIELDS)
+def test_check_fields_it_never_reads_are_rejected(tmp_path, capsys, check, kind, read, unread):
+    base = SMALL_SCENARIO if kind == "free" else S3_SCENARIO
+    spec = {"check": check, **({read: 2} if read else {})}
+    scenario_from_dict({**base, "checks": [spec]})
+    path = tmp_path / "unread.json"
+    path.write_text(json.dumps({**base, "checks": [{**spec, unread: 3}]}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"checks[0].{unread}: not a field of '{check}'" in err
+    assert "Traceback" not in err
 
 
 def test_cli_inconclusive_flagged_but_passes(tmp_path, capsys):

@@ -33,7 +33,7 @@ from boundarylab.spaces import (
     induced_point_to_str,
 )
 from boundarylab.words import ball, cached_ball, reduce_letters
-from oracles import FrozenFiberSpace, sliced_boundary_point
+from oracles import FrozenFiberSpace, padded_boundary_act, sliced_boundary_point
 
 F2 = FreeGroup(2)
 letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8)
@@ -173,6 +173,43 @@ def test_act_boundary_action_axiom(g1, g2, pair):
     lhs = boundary_act((u * v).letters, p)
     rhs = boundary_act(u.letters, boundary_act(v.letters, p))
     assert lhs == rhs
+
+
+def _inverse(w):
+    return tuple(-l for l in reversed(w))
+
+
+@st.composite
+def seam_act_case(draw):
+    """(g, p): p a normal-form point of rank 2 or 3, built from a possibly
+    non-primitive period, and g of one of four kinds: g cancels nothing, g
+    cancels into p's prefix, g cancels up to 40 letters through the periods
+    (after a random head or not), or g cancels p's whole prefix and k periods."""
+    rank = draw(st.sampled_from([2, 3]))
+    alph = st.sampled_from([l for l in range(-rank, rank + 1) if l])
+    period = draw(st.lists(alph, min_size=1, max_size=5)) * draw(st.integers(1, 3))
+    p = make_point(draw(st.lists(alph, max_size=8)), period)
+    assume(p is not None)
+    kind = draw(st.sampled_from(["none", "prefix", "periods", "whole"]))
+    if kind == "none":
+        g = reduce_letters(draw(st.lists(alph, max_size=10)))
+        assume(not g or g[-1] != -p.expand(1)[0])
+    elif kind == "prefix":
+        assume(p.prefix)
+        g = _inverse(p.prefix[:draw(st.integers(1, len(p.prefix)))])
+    elif kind == "periods":
+        cut = _inverse(p.expand(len(p.prefix) + draw(st.integers(1, 40))))
+        g = reduce_letters(tuple(draw(st.lists(alph, max_size=6))) + cut)
+    else:
+        g = _inverse(p.expand(len(p.prefix) + draw(st.integers(0, 4)) * len(p.period)))
+    return g, p
+
+
+@settings(max_examples=400)
+@given(seam_act_case())
+def test_act_matches_padded_oracle(case):
+    g, p = case
+    assert boundary_act(g, p) == padded_boundary_act(g, p)
 
 
 @given(letters, point_strategy, st.integers(min_value=0, max_value=8))
