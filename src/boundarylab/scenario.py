@@ -45,18 +45,18 @@ REPORT_SCHEMA = "boundarylab-report/1"
 _CONTRACTION = {"max_atoms": 1, "samples": 1, "seed": None, "target_depth": 1, "steps": 1}
 _COVERAGE = {"depth": 0, "radius": 0, "samples": 1, "seed": None}
 
-#: Each known check: the group kind it needs (None: either kind) and the
-#: integer fields ``_run_check`` reads for it, with their minimums (None: any
-#: integer).  The induced-space checks need a free group, the size dichotomy a
-#: finite one.  ``sp-extension`` also takes ``strategy``, which its
-#: parameters echo.
+#: Each known check: the group kind it needs (None: either kind), the integer
+#: fields ``_run_check`` reads for it with their minimums (None: any integer),
+#: and the string fields it echoes with the one value each may take.  The
+#: induced-space checks need a free group, the size dichotomy a finite one; an
+#: induced fiber measure fixes the ``sp-extension`` strategy.
 KNOWN_CHECKS = {
-    "minimal-finite": (None, {}),
-    "minimal-symbolic": ("free", _COVERAGE),
-    "sp-extension": ("free", _CONTRACTION),
-    "contraction-lifting": ("free", {**_CONTRACTION, "depth": 0, "radius": 0}),
-    "decompose-fibers": ("free", _COVERAGE),
-    "amenable-size": ("permutation", {}),
+    "minimal-finite": (None, {}, {}),
+    "minimal-symbolic": ("free", _COVERAGE, {}),
+    "sp-extension": ("free", _CONTRACTION, {"strategy": "fiber-lift"}),
+    "contraction-lifting": ("free", {**_CONTRACTION, "depth": 0, "radius": 0}, {}),
+    "decompose-fibers": ("free", _COVERAGE, {}),
+    "amenable-size": ("permutation", {}, {}),
 }
 
 
@@ -147,23 +147,21 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require(isinstance(c["check"], str) and c["check"] in KNOWN_CHECKS,
                  f"checks[{pos}].check",
                  f"unknown check {c['check']!r}; known: {', '.join(KNOWN_CHECKS)}")
-        need, fields = KNOWN_CHECKS[c["check"]]
+        need, fields, fixed = KNOWN_CHECKS[c["check"]]
         _require((need or kind) == kind, f"checks[{pos}].check",
                  f"{c['check']!r} needs a {need} group")
         _require(need != "free" or group.rank >= 2, "group.rank",
                  f"must be >= 2 for {c['check']!r}: its fiber, a subgroup of Z, has rank 1")
-        echoed = ("strategy",) if c["check"] == "sp-extension" else ()
         for key, val in c.items():
-            if key in echoed:  # an induced fiber measure fixes it; the field echoes it
-                _require(val == "fiber-lift", f"checks[{pos}].strategy",
-                         "must be 'fiber-lift', the strategy of an induced fiber measure")
+            if key in fixed:
+                _require(val == fixed[key], f"checks[{pos}].{key}", f"must be {fixed[key]!r}")
             elif key in fields:
                 low = fields[key]
                 _require(is_int(val) and (low is None or val >= low), f"checks[{pos}].{key}",
                          "must be an integer" + ("" if low is None else f" >= {low}"))
             else:
                 _require(key == "check", f"checks[{pos}].{key}", f"not a field of "
-                         f"{c['check']!r}; known: {', '.join(('check', *echoed, *fields))}")
+                         f"{c['check']!r}; known: {', '.join(('check', *fixed, *fields))}")
 
     extensions = data.get("extensions", [])
     _require(isinstance(extensions, list), "extensions", "must be a list")

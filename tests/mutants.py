@@ -2,9 +2,9 @@
 
 Each mutant is a name, the tests that must fail once it is applied, and its
 edits: (file under ``src/boundarylab/``, exact snippet, replacement), applied
-in order.  ``scripts/mutants.py`` applies one mutant at a time to a copy of the
-tree and runs its tests there.  ``tests/test_hygiene.py`` checks only that
-every snippet occurs exactly once, so a refactor has to move its mutants along.
+in order by ``apply_edits``.  ``scripts/mutants.py`` applies one mutant at a
+time to a copy of the tree and runs its tests there.  ``tests/test_hygiene.py``
+checks only that every edit applies, so a refactor has to move its mutants along.
 Add the mutants of a change here rather than describing them in prose.
 """
 
@@ -17,6 +17,19 @@ class Mutant(NamedTuple):
     name: str
     tests: tuple[str, ...]
     edits: tuple[tuple[str, str, str], ...]
+
+
+def apply_edits(sources: dict[str, str], edits) -> dict[str, str]:
+    """``sources`` (file name -> text) with each (file, snippet, replacement)
+    applied in order; ValueError unless each snippet occurs exactly once in its
+    file as the edits before it leave it."""
+    out = dict(sources)
+    for name, snippet, replacement in edits:
+        if out[name].count(snippet) != 1:
+            raise ValueError(f"{name}: snippet occurs {out[name].count(snippet)} times: "
+                             f"{snippet!r}")
+        out[name] = out[name].replace(snippet, replacement)
+    return out
 
 
 SEAM = ("tests/test_spaces.py::test_act_matches_padded_oracle",)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from mutants import MUTANTS
+from mutants import MUTANTS, apply_edits
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "boundarylab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -125,13 +125,10 @@ def test_every_public_definition_is_reachable():
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_mutant_still_applies(mutant):
-    """Each edit's snippet occurs exactly once in the source as the edits before
-    it leave it, and each killing test is defined; no mutant is run here."""
-    sources = {}
-    for name, snippet, replacement in mutant.edits:
-        text = sources.get(name) or (PACKAGE / name).read_text(encoding="utf-8")
-        assert text.count(snippet) == 1, (name, snippet)
-        sources[name] = text.replace(snippet, replacement)
+    """Each edit applies to the source as the edits before it leave it, and each
+    killing test is defined; no mutant is run here."""
+    names = {name for name, _, _ in mutant.edits}
+    apply_edits({n: (PACKAGE / n).read_text(encoding="utf-8") for n in names}, mutant.edits)
     for test in mutant.tests:
         path, _, func = test.partition("::")
         assert f"def {func}(" in (ROOT / path).read_text(encoding="utf-8"), test
