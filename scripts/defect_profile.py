@@ -18,6 +18,7 @@ from boundarylab.checks import (
     steer_into_cylinder,
 )
 from boundarylab.measures import CylinderFunction, isometry_defect
+from boundarylab.words import letters_to_str
 
 
 def main() -> int:
@@ -52,7 +53,7 @@ def main() -> int:
     probe = steering * g if g is not None else steering
     r_cert = sum(len(s) for s in cert.steps) + len(steering)
 
-    print(f"\ntarget cylinder: {f.to_json()['entries'][0]['cylinder']!r}, "
+    print(f"\ntarget cylinder: {letters_to_str(cyl)!r}, "
           f"certificate length {len(cert.steps)}, steering word {steering.to_str()!r}")
     print("\nradius ladder (exact ball enumeration):")
     for radius in (0, 2, 4, 6, 8):

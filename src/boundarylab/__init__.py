@@ -45,7 +45,6 @@ from .spaces import (
 )
 from .measures import (
     AtomicMeasure,
-    BallFunction,
     CylinderFunction,
     atomic_measure,
     dirac,

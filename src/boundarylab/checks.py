@@ -332,7 +332,7 @@ def _contract_fiber_lift(nu, target, budget):
     space = nu.space
     cosets = {p[0] for p, _ in nu.atoms}
     if len(cosets) != 1:
-        raise ValueError("fiber-lift needs a fiber-supported measure")
+        raise ValueError("measure: fiber-lift needs a fiber-supported measure")
     i = next(iter(cosets))
     fiber_pts = [p[1] for p, _ in nu.atoms]
     fsteps = _axis_power_steps(fiber_pts, space.fiber.rank, target, budget)
@@ -792,6 +792,9 @@ def decompose_fibers(
     subgroup must cover the depth-d fiber cylinders from sampled starts.
     The coset of g.(i, y) is the coset of g t_i whatever y is, so transport
     and setwise invariance are read once each, at one fixed fiber point.
+    Invariance is read from the lifts of the fiber's basis letters: lifting
+    is a homomorphism and the coset action a group action, so the lifted
+    subgroup they generate fixes fiber i exactly when they do.
     """
     if not isinstance(phi.source, InducedSpace):
         raise ValueError("fiber decomposition expects an induced source")
@@ -820,8 +823,8 @@ def decompose_fibers(
 
         transport_ok = all(space.act(table.rep(j) * t_i.inverse(), (i, y0))[0] == j
                            for j in range(1, n + 1))
-        invariance_ok = all(space.act(space.lift(i, w), (i, y0))[0] == i
-                            for w in cached_ball(fiber_ctx, 2) if not w.is_identity)
+        invariance_ok = all(space.act(space.lift(i, Word(fiber_ctx, (k,))), (i, y0))[0] == i
+                            for k in range(1, rank + 1))
 
         rng = random.Random(seed ^ i)
         hit = set()

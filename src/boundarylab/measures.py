@@ -25,8 +25,7 @@ from .spaces import (
     parse_boundary_point,
     parse_induced_point,
 )
-from .words import (DEFAULT_BALL_CAP, Word, _count_cylinders, alphabet, check_ball_size,
-                    letters_to_str)
+from .words import DEFAULT_BALL_CAP, Word, _count_cylinders, alphabet, check_ball_size
 
 
 @dataclass(frozen=True)
@@ -135,36 +134,6 @@ class CylinderFunction:
             best = max(best, abs(self.default))
         return best
 
-    def to_json(self) -> dict:
-        entries = []
-        for key, v in self.values.items():
-            if self.cosets is None:
-                entries.append({"cylinder": letters_to_str(key), "value": v})
-            else:
-                i, w = key
-                entries.append({"cylinder": letters_to_str(w), "coset": i, "value": v})
-        entries.sort(key=lambda e: (e.get("coset", 0), e["cylinder"]))
-        out = {"depth": self.depth, "rank": self.rank, "default": self.default,
-               "entries": entries}
-        if self.cosets is not None:
-            out["cosets"] = self.cosets
-        return out
-
-
-@dataclass(frozen=True)
-class BallFunction:
-    """A function on the radius-R word ball, the truncated Poisson image."""
-
-    radius: int
-    values: dict = field(repr=False)
-
-    def to_json(self) -> dict:
-        items = sorted(self.values.items(), key=lambda kv: kv[0].shortlex_key())
-        return {
-            "radius": self.radius,
-            "entries": [{"word": w.to_str(), "value": v} for w, v in items],
-        }
-
 
 # -- Poisson transform ------------------------------------------------------------
 
@@ -225,10 +194,10 @@ def _poisson_walk(nu: AtomicMeasure, f: CylinderFunction, radius: int, probes=()
         yield s.letters, value(states)
 
 
-def poisson_transform(nu: AtomicMeasure, f: CylinderFunction, radius: int) -> BallFunction:
-    """s -> integral of f(s . x) d nu(x), over the radius-R word ball."""
+def poisson_transform(nu: AtomicMeasure, f: CylinderFunction, radius: int) -> dict:
+    """{s: integral of f(s . x) d nu(x)} over the radius-R word ball."""
     ctx = nu.space.ambient
-    return BallFunction(radius, {Word(ctx, s): v for s, v in _poisson_walk(nu, f, radius)})
+    return {Word(ctx, s): v for s, v in _poisson_walk(nu, f, radius)}
 
 
 def isometry_defect(

@@ -165,6 +165,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     extensions = data.get("extensions", [])
     _require(isinstance(extensions, list), "extensions", "must be a list")
+    _require(not extensions or any(c["check"] == "amenable-size" for c in checks),
+             "extensions", "no check of this scenario reads them; only 'amenable-size' does")
     for pos, e in enumerate(extensions):
         for fieldname in ("name", "size", "action", "projection"):
             _require(isinstance(e, dict) and fieldname in e,
@@ -323,8 +325,8 @@ class RunReport:
 def run_scenario(scenario: Scenario) -> RunReport:
     """Execute the declared checks in order; deterministic except wall clocks.
 
-    A check that exhausts an enumeration budget is reported INCONCLUSIVE
-    rather than aborting the run.
+    A check that exhausts an enumeration budget is reported INCONCLUSIVE,
+    with the seed it would have drawn from, rather than aborting the run.
     """
     objs = ScenarioObjects(scenario)
     entries = []
@@ -333,11 +335,12 @@ def run_scenario(scenario: Scenario) -> RunReport:
         try:
             report = _run_check(objs, spec)
         except BudgetExceededError as exc:
+            seeded = "seed" in KNOWN_CHECKS[spec["check"]][1]
             report = CheckReport(
                 check=spec["check"],
                 verdict="INCONCLUSIVE",
                 parameters=dict(spec),
-                seed=scenario.seed,
+                seed=spec.get("seed", scenario.seed) if seeded else None,
                 evidence=[{"budget_exceeded": str(exc)}],
                 truncation={"budgets": scenario.budgets},
             )
@@ -387,17 +390,18 @@ def replay_certificate(report_data: dict, check_id: str, cert_index: int):
     if len(matches) != 1:
         problem = "is ambiguous" if matches else "not found"
         ids = ", ".join(e["id"] for e in entries)
-        raise ScenarioError(f"check id {check_id!r} {problem} in report; ids: {ids}")
+        raise ScenarioError(f"checks: id {check_id!r} {problem} in report; ids: {ids}")
     target = matches[0]
     evidence = target.get("evidence", [])
     _require(isinstance(evidence, list), f"checks[{check_id}].evidence", "must be a list")
     if not 0 <= cert_index < len(evidence):
         raise ScenarioError(
-            f"certificate index {cert_index} out of range (evidence has {len(evidence)})"
+            f"checks[{check_id}].evidence: certificate index {cert_index} out of range "
+            f"(evidence has {len(evidence)})"
         )
     item = evidence[cert_index]
     if not isinstance(item, dict) or item.get("certificate") is None:
-        raise ScenarioError("selected evidence entry carries no certificate")
+        raise ScenarioError(f"checks[{check_id}].evidence[{cert_index}]: carries no certificate")
     space = ScenarioObjects(scenario).induced
     nu = measure_from_json(space, item.get("measure"))
     cert = ContractionCertificate.from_json(space.ambient, item["certificate"])

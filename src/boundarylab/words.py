@@ -112,15 +112,8 @@ class Word:
     def inverse(self) -> "Word":
         return Word(self.ctx, tuple(-l for l in reversed(self.letters)))
 
-    def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else self.inverse()
-        return Word(self.ctx, reduce_letters(base.letters * abs(n)))
-
     def to_str(self) -> str:
         return letters_to_str(self.letters)
-
-    def shortlex_key(self) -> tuple:
-        return (len(self.letters), tuple(_letter_rank(l) for l in self.letters))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Word({self.to_str()!r})"
@@ -140,11 +133,6 @@ def identity(ctx) -> Word:
 def generator(ctx, index: int) -> Word:
     """The index-th generator (1-based) as a one-letter word."""
     return word(ctx, (index,))
-
-
-def _letter_rank(l: int) -> int:
-    # a < A < b < B < ...: positive letter sorts just before its inverse
-    return (abs(l) - 1) * 2 + (0 if l > 0 else 1)
 
 
 def shortlex_bfs(ctx, base, step, max_nodes: Optional[int] = None) -> dict:

@@ -37,6 +37,7 @@ REWRITE = ("tests/test_cosets.py::test_rewrite_from_every_coset_against_word_pro
 RANGE = ("tests/test_spaces.py::test_coset_out_of_range_is_named",)
 KEYS = ("tests/test_measures.py::test_cylinder_keys_are_checked_at_construction",)
 WALK = ("tests/test_measures.py::test_walk_matches_per_word_oracle",)
+FIBERS = ("tests/test_checks.py::test_decompose_fibers_reads_invariance_from_every_basis_letter",)
 
 _ROOT = """    n = len(period)
     for d in _divisors(n):
@@ -107,5 +108,9 @@ MUTANTS = (
     )),
     Mutant("walk: induced step keeps the old coset", WALK, (
         ("measures.py", "c, e = row[c]", "_, e = row[c]"),
+    )),
+    # setwise invariance read from the lifts of the fiber basis letters
+    Mutant("fibers: invariance read from the first basis letter only", FIBERS, (
+        ("checks.py", "for k in range(1, rank + 1))", "for k in range(1, 2))"),
     )),
 )

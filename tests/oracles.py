@@ -25,7 +25,6 @@ from boundarylab.words import (
     BudgetExceededError,
     FreeGroup,
     Word,
-    _letter_rank,
     alphabet,
     cached_ball,
     reduce_letters,
@@ -88,6 +87,16 @@ def merge_fold_enumerate(sub, max_cosets):
     return table
 
 
+def letter_rank(l: int) -> int:
+    """a < A < b < B < ...: a positive letter sorts just before its inverse."""
+    return (abs(l) - 1) * 2 + (0 if l > 0 else 1)
+
+
+def shortlex_key(w: Word) -> tuple:
+    """Sort key of the shortlex order: length first, then letters by rank."""
+    return (len(w.letters), tuple(map(letter_rank, w.letters)))
+
+
 def sorted_shortlex_bfs(ctx, base, step, max_nodes=None):
     """Shortlex BFS that builds every candidate word of a layer and sorts them."""
     letters = alphabet(ctx)
@@ -100,7 +109,7 @@ def sorted_shortlex_bfs(ctx, base, step, max_nodes=None):
                 if wl and l == -wl[0]:
                     continue
                 cands.append(((l,) + wl, step(u, l)))
-        cands.sort(key=lambda item: tuple(map(_letter_rank, item[0])))
+        cands.sort(key=lambda item: tuple(map(letter_rank, item[0])))
         layer = []
         for wl, v in cands:
             if v not in reps:

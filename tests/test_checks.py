@@ -456,6 +456,25 @@ def test_decompose_fibers_catches_a_misrouted_mover(index2_phi, monkeypatch):
     assert all(e["invariance_ok"] and e["matches_conjugate"] for e in report.evidence)
 
 
+def test_decompose_fibers_reads_invariance_from_every_basis_letter(index2_phi, monkeypatch):
+    # at radius 0 the one mover is the identity, so only the invariance read
+    # sees the last basis letter's lift sent into the other fiber
+    space = index2_phi.source
+    rank = space.fiber.rank
+    last = generator(FreeGroup(rank), rank)
+    lift = InducedSpace.lift
+
+    def misrouted(self, i, w):
+        g = lift(self, i, w)
+        return self.table.rep(3 - i) * self.table.rep(i).inverse() * g if w == last else g
+
+    monkeypatch.setattr(InducedSpace, "lift", misrouted)
+    report = decompose_fibers(index2_phi, radius=0, depth=1, samples=2, seed=2)
+    assert report.verdict == "FAIL"
+    assert [e["invariance_ok"] for e in report.evidence] == [False, False]
+    assert all(e["transport_ok"] and e["matches_conjugate"] for e in report.evidence)
+
+
 # -- amenable size dichotomy ----------------------------------------------------------------
 
 

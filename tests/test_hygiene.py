@@ -5,8 +5,9 @@ mutant still applies to the source.
 ``__init__.py`` is exempt from the import check, since importing is how it
 re-exports.  A name counts as used when it appears anywhere in the module
 body, annotations included.  A public definition is live when another
-statement of the package reads it, ``__init__.py`` imports it, or
-``perfbench/`` or ``scripts/`` use it.
+statement of the package outside ``__init__.py`` reads it, ``perfbench/`` or
+``scripts/`` use it, or ``USER_API`` names it.  A re-export alone keeps
+nothing alive: a name that only tests reach is dead code.
 """
 
 import ast
@@ -52,6 +53,16 @@ def test_module_uses_every_import(path):
 ROOT = PACKAGE.parent.parent
 CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
+#: Re-exports that nothing in ``src/``, ``scripts/`` or ``perfbench/`` reads,
+#: kept on purpose as user-facing API, each for the reason given.
+USER_API = (
+    "cosets.cocycle",              # the paper's coset cocycle of gamma at coset i
+    "measures.poisson_transform",  # the paper's Poisson transform of a measure
+    "measures.dirac",              # test convenience: the point mass at one point
+    "words.generator",             # test convenience: the i-th generator as a word
+    "words.identity",              # test convenience: the empty word of a group
+)
+
 
 def _names_in(node, strings: bool = False) -> set[str]:
     """Identifiers a subtree reads: names, attributes and imported names, and
@@ -83,10 +94,11 @@ def _defined_name(node) -> str | None:
     return target.id if isinstance(target, ast.Name) else None
 
 
-def unreferenced_definitions(package: dict[str, str], callers: list[str]) -> list[str]:
+def unreferenced_definitions(package: dict[str, str], callers: list[str],
+                             allowed=()) -> list[str]:
     """Public module-level functions, classes and constants of ``package``
-    (module name -> source) that no other statement of the package reads,
-    ``__init__`` does not import, and no caller source uses; as
+    (module name -> source) that no other statement of the package outside
+    ``__init__`` reads, no caller source uses and ``allowed`` does not name; as
     ``module.name``."""
     statements = [(module, stmt) for module, source in package.items()
                   for stmt in ast.parse(source).body]
@@ -96,9 +108,11 @@ def unreferenced_definitions(package: dict[str, str], callers: list[str]) -> lis
     dead = []
     for module, node in statements:
         name = _defined_name(node)
-        if module == "__init__" or name is None or name.startswith("_") or name in read:
+        if (module == "__init__" or name is None or name.startswith("_") or name in read
+                or f"{module}.{name}" in allowed):
             continue
-        if not any(name in _names_in(stmt) for _, stmt in statements if stmt is not node):
+        if not any(name in _names_in(stmt) for other, stmt in statements
+                   if stmt is not node and other != "__init__"):
             dead.append(f"{module}.{name}")
     return sorted(dead)
 
@@ -108,17 +122,27 @@ def test_unreferenced_definitions_finds_dead_code():
         "a": "def live():\n    return helper()\n\ndef helper():\n    return 1\n\n"
              "def dead():\n    return dead()\n\nclass Exported:\n    pass\n\n"
              "def traced():\n    pass\n\ndef _private():\n    pass\n\n"
+             "def api():\n    pass\n\n"
              "CAP = 3\nSTEP: int = 2\nUSED = CAP\n_HIDDEN = 1\nx, y = 1, 2\n",
-        "__init__": "from .a import Exported\n",
+        "__init__": "from .a import Exported, api\n",
     }
     callers = ["from boundarylab import a\na.live()\nPLAN = ('a', 'traced')\nprint(a.USED)\n"]
-    assert unreferenced_definitions(package, callers) == ["a.STEP", "a.dead"]
+    # the re-export alone keeps neither Exported nor api alive; the allow-list keeps api
+    assert unreferenced_definitions(package, callers, ("a.api",)) == [
+        "a.Exported", "a.STEP", "a.dead"]
 
 
 def test_every_public_definition_is_reachable():
     package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
-    assert unreferenced_definitions(package, callers) == []
+    assert unreferenced_definitions(package, callers, USER_API) == []
+
+
+def test_user_api_is_needed():
+    """Each allow-listed name exists and would be flagged without its entry."""
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unreferenced_definitions(package, callers) == sorted(USER_API)
 
 
 # -- mutants -------------------------------------------------------------------------

@@ -192,18 +192,18 @@ def test_poisson_dirac_matches_direct_evaluation():
     f = CylinderFunction(rank=2, depth=2, values={(1, 2): 1.0, (2, 1): -0.5})
     bf = poisson_transform(nu, f, 2)
     for s in cached_ball(F2, 2):
-        assert bf.values[s] == cylinder_value(f, Y2.act(s, xi))
+        assert bf[s] == cylinder_value(f, Y2.act(s, xi))
 
 
 def test_poisson_unital_and_bounded():
     nu = half_half()
     const = CylinderFunction(rank=2, depth=1, values={}, default=1.0)
     bf = poisson_transform(nu, const, 3)
-    assert set(bf.values.values()) == {1.0}
+    assert set(bf.values()) == {1.0}
     f = CylinderFunction(rank=2, depth=1, values={(1,): 1.0})
     bf = poisson_transform(nu, f, 2)
-    assert set(bf.values.values()) == {0.0, 0.5, 1.0}
-    assert all(abs(v) <= f.norm() for v in bf.values.values())
+    assert set(bf.values()) == {0.0, 0.5, 1.0}
+    assert all(abs(v) <= f.norm() for v in bf.values())
 
 
 def test_poisson_affine_in_measure_linear_in_function():
@@ -220,14 +220,14 @@ def test_poisson_affine_in_measure_linear_in_function():
                 for k in set(f.values) | set(g.values)},
     )
     for s in cached_ball(F2, 2):
-        p1 = poisson_transform(nu1, f, 0).values
-        p2 = poisson_transform(nu2, f, 0).values
-        pm = poisson_transform(mix, f, 0).values
+        p1 = poisson_transform(nu1, f, 0)
+        p2 = poisson_transform(nu2, f, 0)
+        pm = poisson_transform(mix, f, 0)
         e = identity(F2)
         assert abs(pm[e] - (0.25 * p1[e] + 0.75 * p2[e])) < 1e-12
-        pf = poisson_transform(nu1, f, 2).values
-        pg = poisson_transform(nu1, g, 2).values
-        pfg = poisson_transform(nu1, fg, 2).values
+        pf = poisson_transform(nu1, f, 2)
+        pg = poisson_transform(nu1, g, 2)
+        pfg = poisson_transform(nu1, fg, 2)
         assert abs(pfg[s] - (pf[s] + pg[s])) < 1e-12
 
 
@@ -304,7 +304,7 @@ def test_walk_matches_per_word_oracle(walk_spaces, space_pos, depth, radius, nat
     f = CylinderFunction(rank, depth, values, cosets=None if boundary else space.size,
                          default=rng.choice([0.0, 0.3, -0.6]))
     probes = [rng.choice(cached_ball(ctx, radius + 2)) for _ in range(3)]
-    assert poisson_transform(nu, f, radius).values == per_word_poisson_transform(nu, f, radius)
+    assert poisson_transform(nu, f, radius) == per_word_poisson_transform(nu, f, radius)
     # each probe, over the radius or not, by the same one-letter step
     assert (list(_poisson_walk(nu, f, 0, probes))[1:]
             == [(s.letters, per_word_value(nu, f, s)) for s in probes])
@@ -423,25 +423,9 @@ def test_poisson_on_induced_space(index2_induced):
     bf = poisson_transform(nu, f, 1)
     e = identity(F2)
     a = generator(F2, 1)
-    assert bf.values[e] == 1.0          # (1, b...) cylinder
-    assert bf.values[a] == -1.0         # a moves to coset 2, fiber unchanged
+    assert bf[e] == 1.0          # (1, b...) cylinder
+    assert bf[a] == -1.0         # a moves to coset 2, fiber unchanged
     assert abs(isometry_defect(nu, f, 1)) == 0.0
-
-
-def test_ball_function_export_sorted():
-    nu = half_half()
-    f = CylinderFunction(rank=2, depth=1, values={(1,): 1.0})
-    data = poisson_transform(nu, f, 2).to_json()
-    words = [e["word"] for e in data["entries"]]
-    assert words[:5] == ["", "a", "A", "b", "B"]
-    assert data["radius"] == 2
-
-
-def test_cylinder_function_export():
-    f = CylinderFunction(rank=2, depth=1, values={(1,): 1.0, (-2,): 0.25})
-    data = f.to_json()
-    assert data["depth"] == 1
-    assert {e["cylinder"] for e in data["entries"]} == {"a", "B"}
 
 
 def test_json_weights_read_as_exact_decimals():

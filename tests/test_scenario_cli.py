@@ -117,6 +117,17 @@ def test_budget_exceeded_surfaces_as_inconclusive(capsys):
     assert report.checks[0]["report"].verdict == "INCONCLUSIVE"
     assert "budget_exceeded" in report.checks[0]["report"].evidence[0]
     assert not report.has_fail()
+    # the fallback reports the seed the check would have used: its own, or
+    # none for a check that draws nothing
+    scenario = scenario_from_dict({**SMALL_SCENARIO, "checks": [
+        {"check": "minimal-symbolic", "depth": 40, "samples": 1, "seed": 7}]})
+    assert run_scenario(scenario).checks[0]["report"].seed == 7
+    for budgets in ({}, {"max_cosets": 1}):
+        scenario = scenario_from_dict({**SMALL_SCENARIO, "budgets": budgets,
+                                       "checks": [{"check": "minimal-finite"}]})
+        report = run_scenario(scenario).checks[0]["report"]
+        assert report.verdict == ("INCONCLUSIVE" if budgets else "PASS")
+        assert report.seed is None
 
 
 def test_deep_cylinders_are_inconclusive_before_enumeration():
@@ -254,6 +265,9 @@ def _with_extension(**changes):
     ({**SMALL_SCENARIO, "name": ["tiny"]}, "name: "),
     ({k: v for k, v in SMALL_SCENARIO.items() if k != "name"}, "name: "),
     (_with_extension(name=["cover"]), "extensions[0].name"),
+    ({**SMALL_SCENARIO, "checks": [{"check": "minimal-finite"}],
+      "extensions": [{"name": "x", "size": 1, "action": {"a": [1], "b": [1]},
+                      "projection": [5]}]}, "extensions: "),
 ])
 def test_cli_malformed_field_exits_2(tmp_path, capsys, scenario, fieldname):
     path = tmp_path / "malformed.json"
@@ -523,7 +537,7 @@ def test_group_kind_and_strategy_rejected_at_load():
         scenario_from_dict({**SMALL_SCENARIO, "checks": [{"check": "amenable-size"}]})
     scenario_from_dict({**SMALL_SCENARIO,
                         "checks": [{"check": "sp-extension", "strategy": "fiber-lift"}]})
-    scenario_from_dict({**S3_SCENARIO, "checks": [{"check": "minimal-finite"}]})
+    scenario_from_dict({**S3_SCENARIO, "checks": [{"check": "minimal-finite"}], "extensions": []})
 
 
 # per check: a field it reads, and one that it never reads (at the parent each
