@@ -129,6 +129,10 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_contract(args) -> int:
+    for flag, value, name in (("--target-depth", args.target_depth, "target_depth"),
+                              ("--steps", args.steps, "budget")):
+        if value is not None and value < 1:
+            raise ScenarioError(f"{flag}: {name} must be >= 1")
     scenario = _load(args.scenario)
     objs = ScenarioObjects(scenario)
     with open(args.measure, "r", encoding="utf-8") as fh:

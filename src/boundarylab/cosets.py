@@ -162,11 +162,13 @@ class CosetTable(FiniteSpace):
 def enumerate_cosets(sub: SubgroupHandle, max_cosets: int = 1024) -> CosetTable:
     """Build the complete coset table of a finite-index subgroup.
 
-    Free ambient group: trace every generator as a loop at the base vertex of
-    a labelled graph, folding coincidences as they appear.  The folded graph
-    is complete if and only if the index is finite; its vertices are then the
-    cosets.  Finite ambient group: enumerate the cosets as the orbit of the
-    subgroup's coset under the generators, acting on permutations.
+    Free ambient group: read every generator as a loop at the base vertex of
+    a labelled graph, from both ends along the edges already built; only the
+    unread middle gets new vertices, and its end is folded into the vertex
+    the backward read reached, folding coincidences as they appear.  The
+    folded graph is complete if and only if the index is finite; its vertices
+    are then the cosets.  Finite ambient group: enumerate the cosets as the
+    orbit of the subgroup's coset under the generators, acting on permutations.
 
     Raises :class:`InfiniteIndexError` for infinite index (free ambient only)
     and :class:`BudgetExceededError` when the index exceeds ``max_cosets``.
@@ -221,16 +223,23 @@ def _enumerate_free(sub: SubgroupHandle, max_cosets: int) -> CosetTable:
     adj: list = [{}]
 
     for h in sub.generators:
-        cur = _find(parent, 0)
-        for l in reversed(h.letters):
-            nxt = adj[cur].get(l)
-            if nxt is None:
-                nxt = len(parent)
-                parent.append(nxt)
-                adj.append({-l: cur})
-                adj[cur][l] = nxt
-            cur = _find(parent, nxt)
-        _fold(parent, adj, cur, 0)
+        # read the loop h along existing edges from the base at both ends
+        loop = h.letters[::-1]
+        u = v = _find(parent, 0)
+        f, g = 0, len(loop)
+        while f < g and (nxt := adj[u].get(loop[f])) is not None:
+            u, f = _find(parent, nxt), f + 1
+        while g > f and (nxt := adj[v].get(-loop[g - 1])) is not None:
+            v, g = _find(parent, nxt), g - 1
+        # build only the unread middle; fold, not join, its end into v, since
+        # both reads may stop at the same missing slot of one vertex
+        for l in loop[f:g]:
+            nxt = len(parent)
+            parent.append(nxt)
+            adj.append({-l: u})
+            adj[u][l] = nxt
+            u = nxt
+        _fold(parent, adj, u, v)
 
     live = [u for u, p in enumerate(parent) if p == u]
     letters = alphabet(ctx)

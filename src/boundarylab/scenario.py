@@ -218,9 +218,14 @@ class ScenarioObjects:
             return enumerate_cosets(handle, max_cosets=self.scenario.budgets["max_cosets"])
         except InfiniteIndexError as exc:
             raise ScenarioError(f"subgroup: {exc}") from exc
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"budgets.max_cosets: {exc}") from exc
 
     @cached_property
     def basis(self) -> SchreierBasis:
+        if not isinstance(self.scenario.group, FreeGroup):
+            raise ScenarioError("group.kind: a Schreier basis and an induced space "
+                                "need a free group")
         return schreier_basis(self.table)
 
     @cached_property

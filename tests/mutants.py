@@ -38,6 +38,8 @@ RANGE = ("tests/test_spaces.py::test_coset_out_of_range_is_named",)
 KEYS = ("tests/test_measures.py::test_cylinder_keys_are_checked_at_construction",)
 WALK = ("tests/test_measures.py::test_walk_matches_per_word_oracle",)
 FIBERS = ("tests/test_checks.py::test_decompose_fibers_reads_invariance_from_every_basis_letter",)
+FOLD = ("tests/test_cosets.py::test_fold_cases_match_merge_oracle",
+        "tests/test_cosets.py::test_fold_matches_merge_oracle")
 
 _ROOT = """    n = len(period)
     for d in _divisors(n):
@@ -108,6 +110,22 @@ MUTANTS = (
     )),
     Mutant("walk: induced step keeps the old coset", WALK, (
         ("measures.py", "c, e = row[c]", "_, e = row[c]"),
+    )),
+    # Stallings folding reads each generator from both ends, builds the middle
+    Mutant("fold: unread middle joined by a plain edge", FOLD, (
+        ("cosets.py", "        for l in loop[f:g]:\n", "        for l in loop[f:g - 1]:\n"),
+        ("cosets.py", "        _fold(parent, adj, u, v)\n",
+         "        if f == g:\n"
+         "            _fold(parent, adj, u, v)\n"
+         "        else:\n"
+         "            adj[u][loop[g - 1]], adj[v][-loop[g - 1]] = v, u\n"),
+    )),
+    Mutant("fold: middle folded into the base", FOLD, (
+        ("cosets.py", "        _fold(parent, adj, u, v)\n",
+         "        _fold(parent, adj, u, _find(parent, 0))\n"),
+    )),
+    Mutant("fold: backward read follows the letter, not its inverse", FOLD, (
+        ("cosets.py", "adj[v].get(-loop[g - 1])", "adj[v].get(loop[g - 1])"),
     )),
     # setwise invariance read from the lifts of the fiber basis letters
     Mutant("fibers: invariance read from the first basis letter only", FIBERS, (

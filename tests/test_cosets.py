@@ -26,6 +26,7 @@ from boundarylab import (
     subgroup,
     word,
 )
+from boundarylab import cosets
 from boundarylab.checks import sample_boundary_point
 from boundarylab.words import Word, alphabet, ball, reduce_letters, reduced_layers
 
@@ -169,6 +170,62 @@ def test_fold_matches_merge_oracle(case):
     assert _fold_outcome(enumerate_cosets, sub, max_cosets) == _fold_outcome(
         merge_fold_enumerate, sub, max_cosets
     )
+
+
+def _vertices_created(monkeypatch, gens):
+    """Vertices the free fold creates for ``gens``: the graph size, less the
+    base, at its last ``_fold``."""
+    sizes = [0]
+    fold = cosets._fold
+
+    def spy(parent, adj, a, b):
+        sizes.append(len(parent) - 1)
+        fold(parent, adj, a, b)
+
+    monkeypatch.setattr(cosets, "_fold", spy)
+    try:
+        enumerate_cosets(subgroup(F2, gens))
+    except InfiniteIndexError:
+        pass
+    monkeypatch.undo()
+    return sizes[-1]
+
+
+@pytest.mark.parametrize("gens, max_cosets", [
+    # b^-1 a b on an empty graph: both reads stop at the missing b-edge of the
+    # base, so the middle's end is folded into the base, not joined to it
+    (("Bab", "b"), 1024),
+    (("Bab", "aaba", "b"), 1024),
+    (("Bab",), 1024),
+    # aab reads fully through the edges aa and b built; aa reads fully to a
+    # vertex that is then folded into the base
+    (("aa", "b", "aab"), 1024),
+    (("aaaa", "b", "aa", "abA"), 1024),
+    # aba: the forward read stops at once, the backward read reaches its start
+    (("ab", "aba"), 1024),
+    (("abA", "bb"), 1024),
+    (("aaa", "b", "abA", "aabAA"), 2),
+])
+def test_fold_cases_match_merge_oracle(gens, max_cosets):
+    sub = subgroup(F2, [parse_word(F2, s) for s in gens])
+    assert _fold_outcome(enumerate_cosets, sub, max_cosets) == _fold_outcome(
+        merge_fold_enumerate, sub, max_cosets
+    )
+
+
+def test_fold_builds_nothing_for_a_loop_read_from_both_ends(monkeypatch):
+    # after ab, the forward read of aba stops at once and the backward read
+    # reaches its start
+    words = [parse_word(F2, s) for s in ("ab", "aba")]
+    assert _vertices_created(monkeypatch, words) == _vertices_created(monkeypatch, words[:-1])
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_fold_builds_linearly_many_vertices_for_a_kernel(monkeypatch, n):
+    # kernel of F2 -> Z/n: each conjugate a^-i b a^i reads a^i from both ends
+    # and builds one vertex; read from one end, it built i + 1
+    gens = [word(F2, (1,) * n)] + [word(F2, (-1,) * i + (2,) + (1,) * i) for i in range(n)]
+    assert _vertices_created(monkeypatch, gens) <= 4 * n
 
 
 def test_table_export_format(index2_table):

@@ -128,6 +128,8 @@ def test_budget_exceeded_surfaces_as_inconclusive(capsys):
         report = run_scenario(scenario).checks[0]["report"]
         assert report.verdict == ("INCONCLUSIVE" if budgets else "PASS")
         assert report.seed is None
+        if budgets:
+            assert report.evidence[0]["budget_exceeded"].startswith("budgets.max_cosets: ")
 
 
 def test_deep_cylinders_are_inconclusive_before_enumeration():
@@ -368,7 +370,41 @@ def test_cli_contract_nonpositive_depth_or_steps_exits_2(tiny_path, tmp_path, ca
     assert main(["contract", tiny_path, "--measure", str(mpath), flag, value]) == 2
     err = capsys.readouterr().err
     assert message in err
-    assert "Traceback" not in err
+    assert _one_error_line(err).startswith(f"error: {flag}: ")
+
+
+def _one_error_line(err: str) -> str:
+    """The only line of ``err``, which must be an ``error:`` line."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+FIBER_MEASURE = {"space": "fiber", "atoms": [{"point": "|a", "weight": "1/2"},
+                                             {"point": "b|aB", "weight": "1/2"}]}
+
+
+@pytest.mark.parametrize("command", ["contract", "enumerate-cosets", "induce"])
+def test_cli_index_above_max_cosets_names_the_budget(tmp_path, capsys, command):
+    scenario = load_bundled_scenario("f2-index2").raw
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps({**scenario, "budgets": {**scenario["budgets"],
+                                                        "max_cosets": 1}}))
+    mpath = tmp_path / "measure.json"
+    mpath.write_text(json.dumps(FIBER_MEASURE))
+    argv = [command, str(path)] + (["--measure", str(mpath)] if command == "contract" else [])
+    assert main(argv) == 2
+    assert _one_error_line(capsys.readouterr().err).startswith("error: budgets.max_cosets: ")
+
+
+@pytest.mark.parametrize("command", ["contract", "induce"])
+def test_cli_induced_space_on_a_permutation_group_names_the_group_kind(tmp_path, capsys,
+                                                                      command):
+    mpath = tmp_path / "measure.json"
+    mpath.write_text(json.dumps(FIBER_MEASURE))
+    argv = [command, "s3-amenable"] + (["--measure", str(mpath)] if command == "contract" else [])
+    assert main(argv) == 2
+    assert _one_error_line(capsys.readouterr().err).startswith("error: group.kind: ")
 
 
 def test_cli_usage_error():
