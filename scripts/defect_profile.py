@@ -49,7 +49,7 @@ def main() -> int:
     f = CylinderFunction(rank=2, depth=args.depth, values={cyl: 1.0})
 
     steering = steer_into_cylinder(final, cyl)
-    g = certificate_element(cert)
+    g = certificate_element(cert.steps)
     probe = steering * g if g is not None else steering
     r_cert = sum(len(s) for s in cert.steps) + len(steering)
 
@@ -59,7 +59,7 @@ def main() -> int:
     for radius in (0, 2, 4, 6, 8):
         d = isometry_defect(nu, f, radius)
         print(f"  R={radius:2d}  defect={d:.6f}")
-    d = isometry_defect(nu, f, r_cert, probes=[probe], max_enumeration_radius=4)
+    d = isometry_defect(nu, f, 4, probes=[probe])
     print(f"  R={r_cert} (certificate radius, probe included)  defect={d:.6f}")
     return 0
 

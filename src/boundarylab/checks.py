@@ -47,12 +47,12 @@ from .words import (
     Word,
     alphabet,
     cached_ball,
-    closure,
     is_int,
     letters_from_str,
     letters_to_str,
     parse_word,
     reduce_letters,
+    shortlex_bfs,
 )
 
 PASS = "PASS"
@@ -164,12 +164,20 @@ class ContractionCertificate:
             raise ValueError("certificate.achieved_depth: must be an integer >= 1")
         if not isinstance(data.get("limit_cylinder"), str):
             raise ValueError("certificate.limit_cylinder: must be a word string")
-        return cls(
-            tuple(parse_word(ctx, w) for w in steps),
-            data["achieved_depth"],
-            data.get("limit_coset"),
-            letters_from_str(data["limit_cylinder"]),
-        )
+        coset = data.get("limit_coset")
+        if coset is not None and not is_int(coset):
+            raise ValueError("certificate.limit_coset: must be an integer or null")
+        words = []
+        for k, w in enumerate(steps):
+            try:
+                words.append(parse_word(ctx, w))
+            except ValueError as exc:
+                raise ValueError(f"certificate.steps[{k}]: {exc}") from exc
+        try:
+            cylinder = letters_from_str(data["limit_cylinder"])
+        except ValueError as exc:
+            raise ValueError(f"certificate.limit_cylinder: {exc}") from exc
+        return cls(tuple(words), data["achieved_depth"], coset, cylinder)
 
 
 def replay(nu: AtomicMeasure, cert: ContractionCertificate):
@@ -201,14 +209,16 @@ def _push_through(nu: AtomicMeasure, steps):
     The space action is a group action, so one push by the product of the
     steps gives the same measure as one push per step.
     """
-    cur = pushforward_group(_steps_product(steps), nu) if steps else nu
+    cur = pushforward_group(certificate_element(steps), nu) if steps else nu
     depth, coset = concentration(cur)
     return cur, depth, coset
 
 
-def _steps_product(steps: Sequence[Word]) -> Word:
+def certificate_element(steps: Sequence[Word]) -> Optional[Word]:
     """The element s_k ... s_1 that applying s_1, .., s_k in order amounts to,
-    freely reduced in one pass over the reversed steps."""
+    freely reduced in one pass over the reversed steps; None for no steps."""
+    if not steps:
+        return None
     ctx = steps[0].ctx
     letters: list[int] = []
     for s in reversed(steps):
@@ -342,17 +352,6 @@ def _contract_fiber_lift(nu, target, budget):
     return [lifts[w] for w in fsteps]
 
 
-def certificate_element(cert: ContractionCertificate) -> Optional[Word]:
-    """The single group element a certificate's replay amounts to.
-
-    Steps are applied first-to-last, so the cumulative element is the product
-    of the steps in reverse order.
-    """
-    if not cert.steps:
-        return None
-    return _steps_product(cert.steps)
-
-
 def steer_into_cylinder(nu: AtomicMeasure, cylinder: tuple[int, ...]) -> Word:
     """A word carrying every atom of a concentrated boundary measure into the
     given cylinder.
@@ -399,9 +398,9 @@ def random_walk_letters(rng: random.Random, rank: int, max_len: int) -> tuple[in
     return tuple(letters)
 
 
-def sample_boundary_point(rng: random.Random, rank: int, walk_len: int = WALK_LEN) -> BoundaryPoint:
+def sample_boundary_point(rng: random.Random, rank: int) -> BoundaryPoint:
     base = boundary_point((), (1,))
-    return boundary_act(random_walk_letters(rng, rank, walk_len), base)
+    return boundary_act(random_walk_letters(rng, rank, WALK_LEN), base)
 
 
 def _distinct_draws(natoms: int, draw) -> list:
@@ -481,34 +480,27 @@ def check_minimal_finite(space: FiniteSpace) -> CheckReport:
     )
 
 
-def check_minimal_symbolic(space, depth: int, radius: int, samples: int, seed: int) -> CheckReport:
-    """Orbit density proxy: from seeded start points, the radius-R ball (at
-    most ``COVERAGE_BALL_CAP`` words) must visit every depth-d cylinder (and
-    every coset, for induced spaces).
+def check_minimal_symbolic(space: InducedSpace, depth: int, radius: int, samples: int,
+                           seed: int) -> CheckReport:
+    """Orbit density proxy on an induced space: from seeded start points, the
+    radius-R ball (at most ``COVERAGE_BALL_CAP`` words) must visit every coset
+    and, in it, every depth-d fiber cylinder.
 
     Incomplete coverage is INCONCLUSIVE: density cannot be refuted at finite
     radius.
     """
     if depth < 0 or radius < 0 or samples < 1:
         raise ValueError("depth, radius >= 0 and samples >= 1 required")
-    if isinstance(space, InducedSpace):
-        n, rank = space.size, space.fiber.rank
-        cyls = space.fiber.cylinders(depth, COVERAGE_BALL_CAP // n)
-        targets = {(i, c) for i in range(1, n + 1) for c in cyls}
-        draw = lambda rng: (rng.randint(1, n), sample_boundary_point(rng, rank))
-        key = lambda p: (p[0], p[1].expand(depth))
-        key_str = lambda k: f"({k[0]}, {letters_to_str(k[1])})"
-    else:
-        targets = set(space.cylinders(depth, COVERAGE_BALL_CAP))
-        draw = lambda rng: sample_boundary_point(rng, space.rank)
-        key = lambda p: p.expand(depth)
-        key_str = letters_to_str
+    n = space.size
+    cyls = space.fiber.cylinders(depth, COVERAGE_BALL_CAP // n)
+    targets = {(i, c) for i in range(1, n + 1) for c in cyls}
     ballwords = cached_ball(space.ambient, radius, COVERAGE_BALL_CAP)
     evidence = []
     complete = True
     for idx in range(samples):
-        start = draw(random.Random(seed ^ idx))
-        hit = {key(space.act(w, start)) for w in ballwords}
+        rng = random.Random(seed ^ idx)
+        start = (rng.randint(1, n), sample_boundary_point(rng, space.fiber.rank))
+        hit = {(j, y.expand(depth)) for j, y in (space.act(w, start) for w in ballwords)}
         missing = targets - hit
         if missing:
             complete = False
@@ -517,7 +509,7 @@ def check_minimal_symbolic(space, depth: int, radius: int, samples: int, seed: i
                 "start": point_to_json(start),
                 "covered": len(hit & targets),
                 "total": len(targets),
-                "missing": sorted(key_str(k) for k in missing)[:20],
+                "missing": sorted(f"({i}, {letters_to_str(c)})" for i, c in missing)[:20],
             }
         )
     return CheckReport(
@@ -541,14 +533,12 @@ def finite_contractible(space: FiniteSpace, nu: AtomicMeasure) -> CheckReport:
     """
     if nu.space != space:
         raise ValueError("measure does not live on the given space")
-    letters = alphabet(space.ambient)
 
-    def images(atoms):
-        for l in letters:
-            yield tuple(sorted(((space.act_letter(l, p), w) for p, w in atoms),
-                               key=lambda kv: kv[0]))
+    def image(atoms, l):
+        return tuple(sorted(((space.act_letter(l, p), w) for p, w in atoms),
+                            key=lambda kv: kv[0]))
 
-    seen = closure(nu.atoms, images)
+    seen = shortlex_bfs(space.ambient, nu.atoms, image)
     dirac_found = any(len(atoms) == 1 for atoms in seen)
     orbit_json = [
         [{"point": p, "weight": str(w)} for p, w in atoms] for atoms in sorted(seen)

@@ -35,7 +35,6 @@ from .words import (
     PermutationGroup,
     Word,
     alphabet,
-    closure,
     compose_perms,
     identity_perm,
     invert_perm,
@@ -119,8 +118,7 @@ class FiniteSpace:
         return range(1, self.size + 1)
 
     def orbit(self, x: int) -> frozenset:
-        letters = alphabet(self.ambient)
-        return frozenset(closure(x, lambda p: (self.act_letter(l, p) for l in letters)))
+        return frozenset(shortlex_bfs(self.ambient, x, lambda p, l: self.act_letter(l, p)))
 
     def is_transitive(self) -> bool:
         return len(self.orbit(1)) == self.size
@@ -264,9 +262,15 @@ def _enumerate_free(sub: SubgroupHandle, max_cosets: int) -> CosetTable:
 # -- finite ambient: permutation orbits ---------------------------------------
 
 def _perm_closure(perms, cap: int = 1_000_000) -> frozenset:
-    ident = identity_perm(len(perms[0])) if perms else ()
-    gens = [tuple(p) for p in perms] + [invert_perm(p) for p in perms]
-    return frozenset(closure(ident, lambda p: (compose_perms(p, g) for g in gens), cap))
+    """The group the permutations generate: the orbit of the identity, where
+    letter +-i of FreeGroup(len(perms)) multiplies by the i-th one or its inverse."""
+    gens = {i: g for k, p in enumerate(perms, 1) for i, g in ((k, p), (-k, invert_perm(p)))}
+    try:
+        reps = shortlex_bfs(FreeGroup(len(perms)), identity_perm(len(perms[0])),
+                            lambda p, l: compose_perms(p, gens[l]), cap)
+    except BudgetExceededError:
+        raise BudgetExceededError(f"subgroup closure exceeds {cap} permutations") from None
+    return frozenset(reps)
 
 
 def _enumerate_perm(sub: SubgroupHandle, max_cosets: int) -> CosetTable:

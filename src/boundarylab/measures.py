@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .cosets import rewrite_in_basis
 from .spaces import (
     BoundaryPoint,
     BoundarySpace,
@@ -25,7 +24,7 @@ from .spaces import (
     parse_boundary_point,
     parse_induced_point,
 )
-from .words import DEFAULT_BALL_CAP, Word, _count_cylinders, alphabet, check_ball_size
+from .words import DEFAULT_BALL_CAP, Word, alphabet, check_ball_size
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,13 @@ class CylinderFunction:
     """Locally constant function determined by depth-d cylinders.
 
     Keys are letter tuples for boundary spaces and (coset, letter tuple)
-    pairs for induced spaces.  ``default`` fills the unlisted cylinders, so the
-    function is total regardless of how sparse ``values`` is.
+    pairs for induced spaces.  A cylinder not listed in ``values`` is 0.
     """
 
     rank: int
     depth: int
     values: dict = field(repr=False)
     cosets: Optional[int] = None
-    default: float = 0.0
 
     def __post_init__(self) -> None:
         for key in self.values:
@@ -124,15 +121,8 @@ class CylinderFunction:
                 raise ValueError(f"values: key {key!r} is not a reduced depth-{self.depth} "
                                  f"cylinder for rank={self.rank}, cosets={self.cosets}")
 
-    def total_cylinders(self) -> int:
-        n = _count_cylinders(self.rank, self.depth)
-        return n * (self.cosets or 1)
-
     def norm(self) -> float:
-        best = max((abs(v) for v in self.values.values()), default=0.0)
-        if len(self.values) < self.total_cylinders():
-            best = max(best, abs(self.default))
-        return best
+        return max((abs(v) for v in self.values.values()), default=0.0)
 
 
 # -- Poisson transform ------------------------------------------------------------
@@ -142,10 +132,11 @@ def _poisson_walk(nu: AtomicMeasure, f: CylinderFunction, radius: int, probes=()
     order) for every reduced s with |s| <= radius, depth first by prepending
     letters, then for each probe.  An atom's state is (coset, y), y a prefix
     of the fiber point (coset None: of the boundary point).  A letter moves
-    the coset and emits at most one fiber letter, which cancels y's head or is
-    shifted in, so d + n letters keep the depth-d cylinder exact for n steps.
+    the coset and emits at most one fiber letter, its step in the Schreier
+    basis, which cancels y's head or is shifted in, so d + n letters keep the
+    depth-d cylinder exact for n steps.
     """
-    space, d, get, default = nu.space, f.depth, f.values.get, f.default
+    space, d, get = nu.space, f.depth, f.values.get
     ctx = space.ambient
     letters = alphabet(ctx)
     if isinstance(space, BoundarySpace):
@@ -153,9 +144,8 @@ def _poisson_walk(nu: AtomicMeasure, f: CylinderFunction, radius: int, probes=()
         moves = {l: {None: (None, (l,))} for l in letters}
     elif isinstance(space, InducedSpace):
         fits, points = (space.fiber.rank, space.size), [p for p, _ in nu.atoms]
-        moves = {l: {i: (j, beta.letters) for i in space.table.points() for j, beta in
-                     [rewrite_in_basis(space.table, space.basis, Word(ctx, (l,)), i)]}
-                 for l in letters}
+        moves = {l: {i: (j, (b,) if b else ()) for i, (j, b) in enumerate(row, 1)}
+                 for l, row in space.basis.steps.items()}
     else:
         raise ValueError(f"nu.space: a {type(space).__name__} has no cylinder functions")
     if (f.rank, f.cosets) != fits:
@@ -175,7 +165,7 @@ def _poisson_walk(nu: AtomicMeasure, f: CylinderFunction, radius: int, probes=()
     def value(states):
         total = 0.0
         for (c, y), w in zip(states, weights):
-            total += w * get(y[:d] if c is None else (c, y[:d]), default)
+            total += w * get(y[:d] if c is None else (c, y[:d]), 0.0)
         return total
 
     check_ball_size(ctx, radius, DEFAULT_BALL_CAP)
@@ -201,31 +191,21 @@ def poisson_transform(nu: AtomicMeasure, f: CylinderFunction, radius: int) -> di
 
 
 def isometry_defect(
-    nu: AtomicMeasure,
-    f: CylinderFunction,
-    radius: int,
-    probes: Sequence[Word] = (),
-    max_enumeration_radius: Optional[int] = None,
+    nu: AtomicMeasure, f: CylinderFunction, radius: int, probes: Sequence[Word] = ()
 ) -> float:
     """How far the truncated Poisson image falls short of attaining ||f||.
 
     Returns ``max(0, ||f|| - max |P(f)(s)|)`` with s ranging over the word
-    ball of the given radius (capped at ``max_enumeration_radius`` when the
-    full ball is too large to enumerate) together with any ``probes`` of
-    length <= radius, at one letter step per ball word and atom.  Enlarging
-    the explored set can only shrink the result, so the value is monotone
-    non-increasing in the radius.  Each P(f)(s) is a float sum in atom order,
-    so attaining ||f|| gives zero up to rounding only (exactness is ROADMAP
-    item 8).
+    ball of the given radius together with every one of ``probes``, whatever
+    its length, at one letter step per word and atom.  Enlarging the explored
+    set can only shrink the result, so the value is monotone non-increasing in
+    the radius.  Each P(f)(s) is a float sum in atom order, so attaining ||f||
+    gives zero up to rounding only (exactness is ROADMAP item 8).
     """
     norm = f.norm()
     if norm <= 0:
         raise ValueError("isometry defect needs a function with positive norm")
-    enum_radius = radius
-    if max_enumeration_radius is not None:
-        enum_radius = min(radius, max_enumeration_radius)
-    probes = [s for s in probes if len(s) <= radius]
-    return max(0.0, norm - max(abs(v) for _, v in _poisson_walk(nu, f, enum_radius, probes)))
+    return max(0.0, norm - max(abs(v) for _, v in _poisson_walk(nu, f, radius, probes)))
 
 
 # -- serialization ------------------------------------------------------------------
@@ -252,8 +232,6 @@ def point_to_json(p):
 
 
 def point_from_json(space, data):
-    if isinstance(space, FiniteSpace):
-        return int(data)
     if not isinstance(data, str):
         raise ValueError(f"point: must be a string, not {data!r}")
     boundary = isinstance(space, BoundarySpace)

@@ -304,7 +304,6 @@ class RunReport:
     scenario: dict
     checks: list
     package_version: str
-    schema: str = REPORT_SCHEMA
 
     def to_json(self, include_timing: bool = True) -> dict:
         checks = []
@@ -317,7 +316,7 @@ class RunReport:
                 item["wall_clock_s"] = entry["wall_clock_s"]
             checks.append(item)
         return {
-            "schema": self.schema,
+            "schema": REPORT_SCHEMA,
             "package_version": self.package_version,
             "scenario": self.scenario,
             "checks": checks,

@@ -9,7 +9,7 @@ are written ``{27}`` / ``{-27}``.
 Two ambient kinds exist: :class:`FreeGroup` (exact word arithmetic is the
 whole story, and word balls are enumerated here only) and
 :class:`PermutationGroup` (words additionally evaluate to permutations of
-``{0..degree-1}``, and finite groups are explored by exhaustive orbits).
+``{0..degree-1}``, and finite orbits are searched by :func:`shortlex_bfs`).
 """
 
 from __future__ import annotations
@@ -165,23 +165,6 @@ def shortlex_bfs(ctx, base, step, max_nodes: Optional[int] = None) -> dict:
     return reps
 
 
-def closure(start, neighbours, cap: Optional[int] = None) -> set:
-    """Every node reachable from ``start`` through ``neighbours(node)``.
-
-    Raises :class:`BudgetExceededError` when more than ``cap`` nodes are found.
-    """
-    seen = {start}
-    todo = [start]
-    while todo:
-        for v in neighbours(todo.pop()):
-            if v not in seen:
-                seen.add(v)
-                if cap is not None and len(seen) > cap:
-                    raise BudgetExceededError(f"closure exceeds cap {cap}")
-                todo.append(v)
-    return seen
-
-
 def alphabet(ctx) -> tuple[int, ...]:
     """All letters of the context in canonical (shortlex) order."""
     out: list[int] = []
@@ -290,7 +273,7 @@ def ball(ctx: FreeGroup, radius: int, max_size: int = DEFAULT_BALL_CAP) -> tuple
 
     Raises :class:`BudgetExceededError` when the ball would exceed
     ``max_size``.  Finite groups are decided by exhaustive orbits
-    (:func:`closure`), never by balls, so a permutation group is refused.
+    (:func:`shortlex_bfs`), never by balls, so a permutation group is refused.
     """
     if not isinstance(ctx, FreeGroup):
         raise ValueError(f"balls are enumerated in free groups only, not a {type(ctx).__name__}")

@@ -38,6 +38,7 @@ RANGE = ("tests/test_spaces.py::test_coset_out_of_range_is_named",)
 KEYS = ("tests/test_measures.py::test_cylinder_keys_are_checked_at_construction",)
 WALK = ("tests/test_measures.py::test_walk_matches_per_word_oracle",)
 FIBERS = ("tests/test_checks.py::test_decompose_fibers_reads_invariance_from_every_basis_letter",)
+TAMPERED = ("tests/test_scenario_cli.py::test_cli_tampered_input_exits_2",)
 FOLD = ("tests/test_cosets.py::test_fold_cases_match_merge_oracle",
         "tests/test_cosets.py::test_fold_matches_merge_oracle")
 
@@ -111,6 +112,9 @@ MUTANTS = (
     Mutant("walk: induced step keeps the old coset", WALK, (
         ("measures.py", "c, e = row[c]", "_, e = row[c]"),
     )),
+    Mutant("walk: induced move emits the basis letter, never its inverse", WALK, (
+        ("measures.py", "(j, (b,) if b else ())", "(j, (abs(b),) if b else ())"),
+    )),
     # Stallings folding reads each generator from both ends, builds the middle
     Mutant("fold: unread middle joined by a plain edge", FOLD, (
         ("cosets.py", "        for l in loop[f:g]:\n", "        for l in loop[f:g - 1]:\n"),
@@ -126,6 +130,10 @@ MUTANTS = (
     )),
     Mutant("fold: backward read follows the letter, not its inverse", FOLD, (
         ("cosets.py", "adj[v].get(-loop[g - 1])", "adj[v].get(loop[g - 1])"),
+    )),
+    # a stored certificate names the field it fails on
+    Mutant("certificate: a bad step not named", TAMPERED, (
+        ("checks.py", 'raise ValueError(f"certificate.steps[{k}]: {exc}") from exc', "raise"),
     )),
     # setwise invariance read from the lifts of the fiber basis letters
     Mutant("fibers: invariance read from the first basis letter only", FIBERS, (

@@ -87,6 +87,22 @@ def merge_fold_enumerate(sub, max_cosets):
     return table
 
 
+def closure(start, neighbours, cap=None) -> set:
+    """Every node reachable from ``start`` through ``neighbours(node)``, by a
+    depth-first search with no word bookkeeping; BudgetExceededError past
+    ``cap`` nodes."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for v in neighbours(todo.pop()):
+            if v not in seen:
+                seen.add(v)
+                if cap is not None and len(seen) > cap:
+                    raise BudgetExceededError(f"closure exceeds cap {cap}")
+                todo.append(v)
+    return seen
+
+
 def letter_rank(l: int) -> int:
     """a < A < b < B < ...: a positive letter sorts just before its inverse."""
     return (abs(l) - 1) * 2 + (0 if l > 0 else 1)
@@ -143,7 +159,7 @@ def cylinder_key(point, depth):
 
 def cylinder_value(f, point):
     """f at a boundary or induced point."""
-    return f.values.get(cylinder_key(point, f.depth), f.default)
+    return f.values.get(cylinder_key(point, f.depth), 0.0)
 
 
 def per_word_value(nu, f, s):
@@ -156,7 +172,7 @@ def per_word_value(nu, f, s):
         if s.ctx != space.ambient:
             raise ValueError("word is not over the boundary's free group")
         for p, w in nu.atoms:
-            total += float(w) * f.values.get(cylinder_after(s.letters, p, f.depth), f.default)
+            total += float(w) * f.values.get(cylinder_after(s.letters, p, f.depth), 0.0)
         return total
     for p, w in nu.atoms:
         total += float(w) * cylinder_value(f, space.act(s, p))
@@ -168,21 +184,15 @@ def per_word_poisson_transform(nu, f, radius):
     return {s: per_word_value(nu, f, s) for s in cached_ball(nu.space.ambient, radius)}
 
 
-def per_word_defect(nu, f, radius, probes=(), max_enumeration_radius=None):
+def per_word_defect(nu, f, radius, probes=()):
     """The isometry defect with one whole-word evaluation per ball word and
     probe, maximised in shortlex order."""
     norm = f.norm()
     if norm <= 0:
         raise ValueError("isometry defect needs a function with positive norm")
-    enum_radius = radius
-    if max_enumeration_radius is not None:
-        enum_radius = min(radius, max_enumeration_radius)
     best = 0.0
-    for s in cached_ball(nu.space.ambient, enum_radius):
+    for s in list(cached_ball(nu.space.ambient, radius)) + list(probes):
         best = max(best, abs(per_word_value(nu, f, s)))
-    for s in probes:
-        if len(s) <= radius:
-            best = max(best, abs(per_word_value(nu, f, s)))
     return max(0.0, norm - best)
 
 

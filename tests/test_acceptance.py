@@ -486,11 +486,11 @@ def test_criterion_09_isometry_defect_bridge():
         assert f.norm() == 1.0
 
         steering = steer_into_cylinder(final, cyl)
-        g = certificate_element(cert)
+        g = certificate_element(cert.steps)
         probe = steering * g if g is not None else steering
         r_cert = sum(len(s) for s in cert.steps) + len(steering)
-        defect = isometry_defect(nu, f, r_cert, probes=[probe],
-                                 max_enumeration_radius=4)
+        assert len(probe) <= r_cert
+        defect = isometry_defect(nu, f, 4, probes=[probe])
         assert defect <= 0.05 * f.norm()
 
         ladder = [isometry_defect(nu, f, R) for R in ladder_radii]

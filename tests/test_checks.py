@@ -72,14 +72,20 @@ def test_minimal_finite_singleton():
     assert check_minimal_finite(space).verdict == "PASS"
 
 
-def test_minimal_symbolic_boundary():
-    report = check_minimal_symbolic(Y2, depth=1, radius=3, samples=4, seed=5)
+@pytest.fixture(scope="module")
+def boundary_as_induced(index1_table):
+    """The rank-2 boundary as the induced space of F2 over itself: one coset."""
+    return induced_space(index1_table, schreier_basis(index1_table))
+
+
+def test_minimal_symbolic_boundary(boundary_as_induced):
+    report = check_minimal_symbolic(boundary_as_induced, depth=1, radius=3, samples=4, seed=5)
     assert report.verdict == "PASS"
     assert all(e["covered"] == 4 for e in report.evidence)
 
 
-def test_minimal_symbolic_zero_radius_inconclusive():
-    report = check_minimal_symbolic(Y2, depth=1, radius=0, samples=1, seed=5)
+def test_minimal_symbolic_zero_radius_inconclusive(boundary_as_induced):
+    report = check_minimal_symbolic(boundary_as_induced, depth=1, radius=0, samples=1, seed=5)
     assert report.verdict == "INCONCLUSIVE"
     assert report.evidence[0]["missing"]
 
@@ -540,19 +546,17 @@ def test_steering_lands_every_atom():
         u = steer_into_cylinder(final, cyl)
         for p, _ in final.atoms:
             assert Y2.act(u, p).expand(depth) == cyl
-        g = certificate_element(cert)
+        g = certificate_element(cert.steps)
         probe = u * g if g is not None else u
         f = CylinderFunction(rank=2, depth=depth, values={cyl: 1.0})
-        R = sum(len(s) for s in cert.steps) + len(u)
-        assert isometry_defect(nu, f, R, probes=[probe],
-                               max_enumeration_radius=2) == 0.0
+        assert isometry_defect(nu, f, 2, probes=[probe]) == 0.0
 
 
 def test_certificate_element_order(index2_induced):
     rng = random.Random(5)
     nu = sample_fiber_measure(index2_induced, 2, rng, 3)
     cert = contract_measure(nu, 8, 64, strategy="fiber-lift")
-    g = certificate_element(cert)
+    g = certificate_element(cert.steps)
     if g is not None:
         from boundarylab import pushforward_group
 

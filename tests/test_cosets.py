@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import four_step_act, merge_fold_enumerate, shortlex_key
+from oracles import closure, four_step_act, merge_fold_enumerate, shortlex_key
 
 from boundarylab import (
     BudgetExceededError,
@@ -27,8 +28,10 @@ from boundarylab import (
     word,
 )
 from boundarylab import cosets
-from boundarylab.checks import sample_boundary_point
-from boundarylab.words import Word, alphabet, ball, reduce_letters, reduced_layers
+from boundarylab.checks import finite_contractible, sample_boundary_point
+from boundarylab.measures import atomic_measure
+from boundarylab.words import (Word, alphabet, ball, compose_perms, identity_perm, invert_perm,
+                               reduce_letters, reduced_layers)
 
 F2 = FreeGroup(2)
 
@@ -512,3 +515,39 @@ def test_coset_table_is_a_transitive_finite_space(case, seed):
         w = _random_word(rng, table.ambient)
         for i in table.points():
             assert table.act(w, i) == table.coset_of(w * table.rep(i))
+
+
+@given(rank=st.integers(1, 3), size=st.integers(1, 6), degree=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_finite_orbits_match_closure_oracle(rank, size, degree, seed):
+    # FiniteSpace.orbit, the orbit finite_contractible enumerates, and the
+    # permutation closure all search with shortlex_bfs; a plain depth-first
+    # closure must find the same nodes
+    rng = random.Random(seed)
+    ctx = FreeGroup(rank)
+    space = FiniteSpace.make(ctx, size, [rng.sample(range(1, size + 1), size) for _ in range(rank)])
+    letters = alphabet(ctx)
+    x = rng.randint(1, size)
+    assert space.orbit(x) == closure(x, lambda p: (space.act_letter(l, p) for l in letters))
+
+    pts = rng.sample(range(1, size + 1), rng.randint(1, size))
+    raw = [rng.randint(1, 9) for _ in pts]
+    nu = atomic_measure(space, [(p, Fraction(k, sum(raw))) for p, k in zip(pts, raw)])
+    seen = closure(nu.atoms, lambda atoms: (
+        tuple(sorted((space.act_letter(l, p), w) for p, w in atoms)) for l in letters))
+    evidence = finite_contractible(space, nu).evidence[0]
+    assert evidence["orbit_size"] == len(seen)
+    assert evidence["orbit"] == [[{"point": p, "weight": str(w)} for p, w in atoms]
+                                 for atoms in sorted(seen)][:50]
+
+    perms = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]
+    gens = perms + [invert_perm(p) for p in perms]
+    assert cosets._perm_closure(perms) == closure(
+        identity_perm(degree), lambda p: (compose_perms(p, g) for g in gens))
+
+
+def test_perm_closure_overflow_names_the_closure():
+    s3 = [(1, 0, 2), (1, 2, 0)]
+    assert len(cosets._perm_closure(s3, cap=6)) == 6
+    with pytest.raises(BudgetExceededError, match="^subgroup closure exceeds 5 permutations$"):
+        cosets._perm_closure(s3, cap=5)

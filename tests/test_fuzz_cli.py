@@ -2,7 +2,9 @@
 
 Each example takes a bundled scenario (with small budgets, so that it runs
 fast), a stored f2-index2 report or a measure file, deletes one key or sets it
-to a small JSON value, and drives ``cli.main``.  The exit code must be 0, 1 or
+to a small JSON value (a list of word strings among them), and drives
+``cli.main`` with ``run``, ``replay``, ``enumerate-cosets``, ``induce`` or
+``contract``.  The exit code must be 0, 1 or
 2 with nothing raised; a scenario ``scenario_from_dict`` rejects must exit 2;
 and every exit 2 prints one ``error:`` line that starts with the field it is
 about.
@@ -27,10 +29,10 @@ from boundarylab.scenario import KNOWN_CHECKS, ScenarioError, scenario_from_dict
 SMALL_FIELDS = {"samples": 2, "radius": 2, "steps": 8, "target_depth": 4, "max_atoms": 2}
 SMALL_BUDGETS = {"ball_radius": 2, "steps": 8, "samples": 2, "max_cosets": 64}
 
+WORDISH = st.text(alphabet="abAB|(1, )/{}x", max_size=4)
 SMALL_JSON = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 4),
-    st.text(alphabet="abAB|(1, )/{}x", max_size=4),
-    st.lists(st.integers(-2, 4), max_size=3),
+    st.none(), st.booleans(), st.integers(-2, 4), WORDISH,
+    st.lists(st.integers(-2, 4), max_size=3), st.lists(WORDISH, max_size=2),
     st.dictionaries(st.sampled_from(["a", "b", "point", "weight"]), st.integers(-2, 4),
                     max_size=2),
 )
@@ -141,14 +143,28 @@ def test_replay_survives_a_mutated_report(work, data):
     root, report, certs = work
     k = data.draw(st.sampled_from(certs))
     doc = copy.deepcopy(report)
-    if data.draw(st.booleans()):  # most fields of a report are not read by one replay
-        entries = next(c for c in doc["checks"] if c["id"] == "03-sp-extension")["evidence"]
-        entries[k] = mutate(data, entries[k])
-    else:
+    where = data.draw(st.sampled_from(["report", "entry", "steps"]))
+    if where == "report":
         doc = mutate(data, doc)
+    else:  # most fields of a report are not read by one replay
+        entries = next(c for c in doc["checks"] if c["id"] == "03-sp-extension")["evidence"]
+        if where == "entry":
+            entries[k] = mutate(data, entries[k])
+        else:  # the small run stores no steps, so one key set would rarely fill them
+            entries[k]["certificate"]["steps"] = data.draw(st.lists(WORDISH, max_size=3))
     code, _ = run_cli(["replay", _write(root / "replay.json", doc),
                        "--check", "03-sp-extension", "--cert", str(k)])
     if isinstance(doc, dict) and "scenario" in doc and rejected(doc["scenario"]):
+        assert code == 2
+
+
+@pytest.mark.parametrize("command", ["enumerate-cosets", "induce"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_table_commands_survive_a_mutated_scenario(work, command, data):
+    doc = mutate(data, SCENARIOS[data.draw(st.sampled_from(sorted(SCENARIOS)))])
+    code, _ = run_cli([command, _write(work[0] / f"{command}.json", doc)])
+    if rejected(doc):
         assert code == 2
 
 

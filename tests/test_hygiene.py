@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses, no
-public function, class or module-level constant is dead, and every listed
-mutant still applies to the source.
+public function, class or module-level constant is dead, no default is one
+that every caller leaves alone, and every listed mutant still applies to the
+source.
 
 ``__init__.py`` is exempt from the import check, since importing is how it
 re-exports.  A name counts as used when it appears anywhere in the module
@@ -156,3 +157,109 @@ def test_mutant_still_applies(mutant):
     for test in mutant.tests:
         path, _, func = test.partition("::")
         assert f"def {func}(" in (ROOT / path).read_text(encoding="utf-8"), test
+
+
+# -- unset defaults --------------------------------------------------------------------
+
+#: Defaulted parameters and dataclass fields that no call in ``src/``,
+#: ``scripts/`` or ``perfbench/`` sets, kept on purpose, each for the reason given.
+DEFAULTS_KEPT = (
+    "CylinderFunction.cosets",  # cylinder functions on the induced (Gamma, X)-space itself
+)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _defaulted(module: ast.Module):
+    """(label, callee name, positional index or None, name) for every defaulted
+    parameter of a public function or method, and every defaulted field of a
+    dataclass, defined at the top level of ``module``."""
+    def params(fn, callee, prefix, skip):
+        args = fn.args.posonlyargs + fn.args.args
+        for pos, (a, d) in enumerate(zip(args, [None] * (len(args) - len(fn.args.defaults))
+                                         + fn.args.defaults)):
+            if d is not None:
+                yield f"{prefix}{a.arg}", callee, pos - skip, a.arg
+        for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if d is not None:
+                yield f"{prefix}{a.arg}", callee, None, a.arg
+
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from params(node, node.name, f"{node.name}.", 0)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+        if _is_dataclass(node):
+            for pos, s in enumerate(fields):
+                if s.value is not None:
+                    yield f"{node.name}.{s.target.id}", node.name, pos, s.target.id
+        for fn in node.body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                yield from params(fn, fn.name, f"{node.name}.{fn.name}.", 0 if static else 1)
+
+
+def unset_defaults(package: dict[str, str], callers: list[str], allowed=()) -> list[str]:
+    """Labels of the defaulted parameters and dataclass fields of ``package``
+    (module name -> source) that no call, in the package outside ``__init__``
+    or in ``callers``, sets by keyword, by position, or through ``*`` or
+    ``**``, and that ``allowed`` does not name.  A call matches by the bare
+    name it calls, so one that sets a like-named callable counts too."""
+    sources = [s for m, s in package.items() if m != "__init__"] + list(callers)
+    calls: dict[str, list[ast.Call]] = {}
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(n)
+
+    def sets(call, pos, name):
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        if any(k.arg in (None, name) for k in call.keywords):
+            return True
+        return pos is not None and len(call.args) > pos
+
+    unset = []
+    for source in package.values():
+        for label, callee, pos, name in _defaulted(ast.parse(source)):
+            if label not in allowed and not any(sets(c, pos, name) for c in calls.get(callee, ())):
+                unset.append(label)
+    return sorted(unset)
+
+
+def test_unset_defaults_finds_options_no_caller_sets():
+    package = {
+        "a": "from dataclasses import dataclass, field\n\n"
+             "def f(x, y=1, z=2, *, k=3):\n    pass\n\n"
+             "def g(x, y=1):\n    pass\n\n"
+             "def h(x=0, y=1):\n    pass\n\n"
+             "def _private(x=0):\n    pass\n\n"
+             "@dataclass\nclass D:\n    a: int\n    b: int = 0\n    c: dict = field(default=None)\n\n"
+             "    def m(self, v=1, w=2):\n        pass\n\n"
+             "class Plain:\n    n: int = 0\n",
+        "__init__": "from .a import f\nf(1, 2, 3, k=4)\n",
+    }
+    callers = ["from a import D, f, g, h\nf(0, z=5)\nargs = (1, 2)\ng(*args)\nh(**{})\n"
+               "D(1, 2).m(7)\n"]
+    # __init__ sets nothing; D(1, 2) sets b by position, m(7) sets v; k and c stay unset
+    assert unset_defaults(package, callers) == ["D.c", "D.m.w", "f.k", "f.y"]
+    assert unset_defaults(package, callers, ("D.c", "f.k")) == ["D.m.w", "f.y"]
+
+
+def test_every_default_is_set_by_some_caller():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unset_defaults(package, callers, DEFAULTS_KEPT) == []
+
+
+def test_defaults_kept_are_needed():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unset_defaults(package, callers) == sorted(DEFAULTS_KEPT)

@@ -32,7 +32,7 @@ from boundarylab import (
     pushforward_map,
     schreier_basis,
 )
-from boundarylab.checks import sample_boundary_point, sample_fiber_measure
+from boundarylab.checks import random_walk_letters, sample_boundary_point, sample_fiber_measure
 from boundarylab.measures import (
     _poisson_walk,
     measure_from_json,
@@ -40,7 +40,7 @@ from boundarylab.measures import (
     point_from_json,
     weight_from_json,
 )
-from boundarylab.spaces import BoundaryPoint
+from boundarylab.spaces import BoundaryPoint, boundary_act
 from boundarylab.words import DEFAULT_BALL_CAP, BudgetExceededError, cached_ball
 
 F2 = FreeGroup(2)
@@ -52,6 +52,11 @@ B_INF = boundary_point((), (2,))
 
 def half_half():
     return atomic_measure(Y2, [(A_INF, Fraction(1, 2)), (B_INF, Fraction(1, 2))])
+
+
+def walk_point(rng, rank, walk_len):
+    """The point a random walk of at most walk_len letters moves a^inf to."""
+    return boundary_act(random_walk_letters(rng, rank, walk_len), A_INF)
 
 
 # -- measure construction --------------------------------------------------------
@@ -122,7 +127,7 @@ def test_pushforward_is_action():
         nu = atomic_measure(
             Y2,
             [(sample_boundary_point(rng, 2), Fraction(1, 3)),
-             (sample_boundary_point(rng, 2, walk_len=5), Fraction(1, 3)),
+             (walk_point(rng, 2, 5), Fraction(1, 3)),
              (boundary_point((), (2, 1)), Fraction(1, 3))],
         )
         g1, g2 = rng.choice(B), rng.choice(B)
@@ -181,9 +186,8 @@ def test_cylinder_function_norm():
     assert f.norm() == 2.0
     total = CylinderFunction(rank=2, depth=1,
                              values={(1,): 1.0, (-1,): 1.0, (2,): 1.0, (-2,): 1.0})
-    assert total.norm() == 1.0  # default never attained: all 4 cylinders listed
-    assert f.total_cylinders() == 4
-    assert CylinderFunction(rank=2, depth=2, values={}).total_cylinders() == 12
+    assert total.norm() == 1.0
+    assert CylinderFunction(rank=2, depth=2, values={}).norm() == 0.0  # unlisted is 0
 
 
 def test_poisson_dirac_matches_direct_evaluation():
@@ -197,7 +201,7 @@ def test_poisson_dirac_matches_direct_evaluation():
 
 def test_poisson_unital_and_bounded():
     nu = half_half()
-    const = CylinderFunction(rank=2, depth=1, values={}, default=1.0)
+    const = CylinderFunction(rank=2, depth=1, values={c: 1.0 for c in Y2.cylinders(1, 4)})
     bf = poisson_transform(nu, const, 3)
     assert set(bf.values()) == {1.0}
     f = CylinderFunction(rank=2, depth=1, values={(1,): 1.0})
@@ -239,7 +243,7 @@ def test_defect_zero_cases():
     nu = dirac(Y2, xi)
     f = CylinderFunction(rank=2, depth=2, values={xi.expand(2): 1.0})
     assert isometry_defect(nu, f, 0) == 0.0  # identity already attains the norm
-    const = CylinderFunction(rank=2, depth=1, values={}, default=0.7)
+    const = CylinderFunction(rank=2, depth=1, values={c: 0.7 for c in Y2.cylinders(1, 4)})
     assert isometry_defect(half_half(), const, 0) == 0.0
     # a float sum in atom order: ten atoms of 1/10 where f = 1 reach ||f|| up to rounding
     tenths = atomic_measure(Y2, [(boundary_point((1,) + (2, 1) * k, (2,)), Fraction(1, 10))
@@ -254,7 +258,7 @@ def test_defect_monotone_in_radius():
         nu = atomic_measure(
             Y2,
             [(sample_boundary_point(rng, 2), Fraction(1, 2)),
-             (sample_boundary_point(rng, 2, walk_len=6), Fraction(1, 4)),
+             (walk_point(rng, 2, 6), Fraction(1, 4)),
              (boundary_point((), (-2,)), Fraction(1, 4))],
         )
         f = CylinderFunction(rank=2, depth=3,
@@ -263,16 +267,12 @@ def test_defect_monotone_in_radius():
         assert all(x >= y - 1e-15 for x, y in zip(defects, defects[1:]))
 
 
-def test_defect_ignores_overlong_probes():
+def test_defect_counts_a_probe_longer_than_the_ball():
     nu = half_half()
     f = CylinderFunction(rank=2, depth=2, values={(2, 1): 1.0})
     long_probe = parse_word(F2, "babababa")
-    with_probe = isometry_defect(nu, f, 8, probes=[long_probe],
-                                 max_enumeration_radius=0)
-    clipped = isometry_defect(nu, f, 2, probes=[long_probe],
-                              max_enumeration_radius=0)
-    assert with_probe == 0.0   # probe length 8 <= radius 8: counted
-    assert clipped == 1.0      # probe longer than the radius: ignored
+    assert isometry_defect(nu, f, 0) == 1.0
+    assert isometry_defect(nu, f, 0, probes=[long_probe]) == 0.0  # length 8 > radius 0
 
 
 @pytest.fixture(scope="session")
@@ -282,35 +282,32 @@ def walk_spaces(index2_induced, index3_table):
 
 
 @given(space_pos=st.integers(0, 3), depth=st.integers(0, 4), radius=st.integers(0, 5),
-       natoms=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       enum_radius=st.one_of(st.none(), st.integers(0, 5)))
-def test_walk_matches_per_word_oracle(walk_spaces, space_pos, depth, radius, natoms, seed,
-                                      enum_radius):
+       natoms=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_walk_matches_per_word_oracle(walk_spaces, space_pos, depth, radius, natoms, seed):
     # the tree walk gives the very floats of one whole-word evaluation per ball word
     space = walk_spaces[space_pos]
     boundary = isinstance(space, BoundarySpace)
     rank = space.rank if boundary else space.fiber.rank
     rng = random.Random(seed)
-    pts = [sample_boundary_point(rng, rank, walk_len=rng.randint(0, 8)) for _ in range(natoms)]
+    pts = [walk_point(rng, rank, rng.randint(0, 8)) for _ in range(natoms)]
     if not boundary:
         pts = [(rng.randint(1, space.size), y) for y in pts]
     raw = [rng.randint(1, 9) for _ in pts]
     nu = atomic_measure(space, [(p, Fraction(k, sum(raw))) for p, k in zip(pts, raw)])
-    # values on cylinders the walk visits, so that the sums are not all default
+    # values on cylinders the walk visits, so that the sums are not all 0
     ctx = space.ambient
     keys = {cylinder_key(space.act(s, p), depth)
             for s in cached_ball(ctx, min(radius, 2)) for p in nu.support()}
     values = {k: rng.uniform(-1, 1) for k in sorted(keys, key=repr) if rng.random() < 0.7}
-    f = CylinderFunction(rank, depth, values, cosets=None if boundary else space.size,
-                         default=rng.choice([0.0, 0.3, -0.6]))
+    f = CylinderFunction(rank, depth, values, cosets=None if boundary else space.size)
     probes = [rng.choice(cached_ball(ctx, radius + 2)) for _ in range(3)]
     assert poisson_transform(nu, f, radius) == per_word_poisson_transform(nu, f, radius)
     # each probe, over the radius or not, by the same one-letter step
     assert (list(_poisson_walk(nu, f, 0, probes))[1:]
             == [(s.letters, per_word_value(nu, f, s)) for s in probes])
     if f.norm() > 0:
-        assert (isometry_defect(nu, f, radius, probes, enum_radius)
-                == per_word_defect(nu, f, radius, probes, enum_radius))
+        assert (isometry_defect(nu, f, radius, probes)
+                == per_word_defect(nu, f, radius, probes))
 
 
 def test_defect_cap_checked_before_walking(monkeypatch):
@@ -324,12 +321,11 @@ def test_defect_cap_checked_before_walking(monkeypatch):
 
     monkeypatch.setattr(BoundaryPoint, "expand", walked)
     for call in (lambda: isometry_defect(nu, f, 12),
-                 lambda: isometry_defect(nu, f, 40, max_enumeration_radius=12),
                  lambda: poisson_transform(nu, f, 12)):
         with pytest.raises(BudgetExceededError, match="^ball of radius 12 exceeds cap 1000000$"):
             call()
     monkeypatch.undo()
-    assert isometry_defect(nu, f, 40, max_enumeration_radius=1) == 0.0
+    assert isometry_defect(nu, f, 1) == 0.0
 
 
 def test_cylinder_keys_are_checked_at_construction():
@@ -382,7 +378,7 @@ def test_defect_probe_attains_norm():
     f = CylinderFunction(rank=2, depth=1, values={(2,): 1.0})
     probe = parse_word(F2, "b")  # b sends both atoms into the b-cylinder? only a^inf
     # b.a^inf = ba..., b.b^inf = b...: both start with b -> probe attains 1
-    assert isometry_defect(nu, f, 5, probes=[probe], max_enumeration_radius=0) == 0.0
+    assert isometry_defect(nu, f, 0, probes=[probe]) == 0.0
 
 
 # -- serialization --------------------------------------------------------------------------
@@ -419,7 +415,6 @@ def test_poisson_on_induced_space(index2_induced):
     nu = dirac(index2_induced, (1, y))
     f = CylinderFunction(rank=3, depth=1, values={(1, (2,)): 1.0, (2, (2,)): -1.0},
                          cosets=2)
-    assert f.total_cylinders() == 12
     bf = poisson_transform(nu, f, 1)
     e = identity(F2)
     a = generator(F2, 1)

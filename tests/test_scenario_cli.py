@@ -335,13 +335,23 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
     ("contract", lambda _: {"atoms": [{"point": "(2, |a!)", "weight": "1"}]}, "point:"),
     ("replay", _tamper_certificate("achieved_depth", -2), "certificate.achieved_depth"),
     ("replay", _tamper_certificate("achieved_depth", 0), "certificate.achieved_depth"),
+    ("replay", _tamper_certificate("steps", ["a", "x"]),
+     "error: certificate.steps[1]: letter 24 out of range for rank-2 context"),
+    ("replay", _tamper_certificate("steps", ["1"]),
+     "error: certificate.steps[0]: invalid word character '1'"),
+    ("replay", _tamper_certificate("limit_coset", "x"),
+     "error: certificate.limit_coset: must be an integer or null"),
+    ("replay", _tamper_certificate("limit_cylinder", "1"),
+     "error: certificate.limit_cylinder: invalid word character '1'"),
 ], ids=["report-list", "no-scenario", "no-checks", "int-steps", "str-measure",
         "str-achieved-depth", "bare-atom-list", "no-atoms", "atom-without-weight",
         "str-atoms", "coset-above-index", "replay-coset-above-index",
         "replay-negative-coset", "integer-fiber-point", "zero-denominator-weight",
         "induced-letter-above-fiber-rank", "fiber-letter-above-rank",
         "weights-sum-below-one", "float-thirds-inexact", "non-integer-coset",
-        "bad-word-character", "negative-achieved-depth", "zero-achieved-depth"])
+        "bad-word-character", "negative-achieved-depth", "zero-achieved-depth",
+        "step-letter-above-rank", "step-bad-character", "str-limit-coset",
+        "cylinder-bad-character"])
 def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper, fieldname):
     report = json.loads(report_json_text(run_scenario(scenario_from_dict(SMALL_SCENARIO))))
     path = tmp_path / "tampered.json"
