@@ -21,7 +21,6 @@ from .cosets import (
     SchreierBasis,
     SubgroupHandle,
     cocycle,
-    conjugate_subgroup,
     enumerate_cosets,
     eval_in_ambient,
     rewrite_in_basis,
@@ -59,6 +58,7 @@ from .checks import (
     ContractionCertificate,
     amenable_size_check,
     check_contraction_lifting,
+    check_finite_extension,
     check_minimal_finite,
     check_minimal_symbolic,
     check_sp_extension,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cosets import conjugate_subgroup, enumerate_cosets
+from .cosets import InfiniteIndexError, enumerate_cosets
 from .measures import (
     AtomicMeasure,
     atomic_measure,
@@ -53,6 +53,7 @@ from .words import (
     parse_word,
     reduce_letters,
     shortlex_bfs,
+    word,
 )
 
 PASS = "PASS"
@@ -153,8 +154,11 @@ class ContractionCertificate:
         }
 
     @classmethod
-    def from_json(cls, ctx, data) -> "ContractionCertificate":
-        """Inverse of :meth:`to_json`, with steps parsed as words over ctx."""
+    def from_json(cls, space, data) -> "ContractionCertificate":
+        """Inverse of :meth:`to_json` for a measure on ``space``: steps are words
+        over its ambient group, and the limit must be a coset of an induced
+        space (null on a boundary) and a reduced cylinder of length
+        ``achieved_depth`` in the fiber's letters."""
         if not isinstance(data, dict):
             raise ValueError("certificate: must be an object")
         steps = data.get("steps")
@@ -167,16 +171,24 @@ class ContractionCertificate:
         coset = data.get("limit_coset")
         if coset is not None and not is_int(coset):
             raise ValueError("certificate.limit_coset: must be an integer or null")
+        induced = isinstance(space, InducedSpace)
+        if coset not in (range(1, space.size + 1) if induced else (None,)):
+            raise ValueError("certificate.limit_coset: must be "
+                             + (f"a coset in 1..{space.size}" if induced else "null"))
         words = []
         for k, w in enumerate(steps):
             try:
-                words.append(parse_word(ctx, w))
+                words.append(parse_word(space.ambient, w))
             except ValueError as exc:
                 raise ValueError(f"certificate.steps[{k}]: {exc}") from exc
         try:
             cylinder = letters_from_str(data["limit_cylinder"])
+            reduced = word(space.fiber.ambient if induced else space.ambient, cylinder).letters
         except ValueError as exc:
             raise ValueError(f"certificate.limit_cylinder: {exc}") from exc
+        if reduced != cylinder or len(cylinder) != data["achieved_depth"]:
+            raise ValueError("certificate.limit_cylinder: must be a reduced word of length "
+                             "achieved_depth")
         return cls(tuple(words), data["achieved_depth"], coset, cylinder)
 
 
@@ -555,7 +567,7 @@ def finite_contractible(space: FiniteSpace, nu: AtomicMeasure) -> CheckReport:
 
 # -- strongly proximal extension check ------------------------------------------------
 
-def _finite_extension_report(phi: ExtensionMap) -> CheckReport:
+def check_finite_extension(phi: ExtensionMap) -> CheckReport:
     """Exhaustive sp-extension verdict for a finite extension: equivariance,
     surjectivity, then a uniform-measure witness on every multi-point fiber."""
     src, tgt = phi.source, phi.target
@@ -624,11 +636,11 @@ def _fiber_sample(space: InducedSpace, idx: int, seed: int, max_atoms: int):
     return coset, sample_fiber_measure(space, coset, random.Random(seed ^ idx), max_atoms)
 
 
-def _certify(entry: dict, nu: AtomicMeasure, target_depth: int, budget: int):
-    """Contract nu, replay the certificate, and record both in the evidence
-    entry.  Returns replay's (ok, detail), or (None, None) when the budget
-    runs out."""
-    cert = contract_measure(nu, target_depth, budget)
+def _certify(entry: dict, nu: AtomicMeasure, target_depth: int, steps: int):
+    """Contract nu within ``steps`` steps, replay the certificate, and record
+    both in the evidence entry.  Returns replay's (ok, detail), or (None, None)
+    when the budget runs out."""
+    cert = contract_measure(nu, target_depth, steps)
     if cert is None:
         entry["certificate"] = None
         return None, None
@@ -638,28 +650,19 @@ def _certify(entry: dict, nu: AtomicMeasure, target_depth: int, budget: int):
     return ok, detail
 
 
-def check_sp_extension(
-    phi: ExtensionMap,
-    max_atoms: int = 5,
-    samples: int = 100,
-    seed: int = 0,
-    target_depth: int = 20,
-    budget: int = 64,
-) -> CheckReport:
-    """Contract seeded fiber-supported measures through the extension.
-
-    Induced source: every sampled measure must earn a replay-verified
-    certificate (INCONCLUSIVE when a search exhausts its budget).  Finite
-    source: exhaustive orbit verdict per fiber.
+def check_sp_extension(phi: ExtensionMap, max_atoms: int, samples: int, seed: int,
+                       target_depth: int, steps: int) -> CheckReport:
+    """Contract seeded fiber-supported measures through an induced extension:
+    every sampled measure must earn a replay-verified certificate within
+    ``steps`` steps (INCONCLUSIVE when a search exhausts them).  A finite
+    extension is decided by :func:`check_finite_extension`.
     """
-    if isinstance(phi.source, FiniteSpace):
-        return _finite_extension_report(phi)
     evidence = []
     failed = inconclusive = False
     for idx in range(samples):
         coset, nu = _fiber_sample(phi.source, idx, seed, max_atoms)
         entry = {"sample": idx, "coset": coset, "measure": measure_to_json(nu)}
-        ok, detail = _certify(entry, nu, target_depth, budget)
+        ok, detail = _certify(entry, nu, target_depth, steps)
         if ok is None:
             inconclusive = True
         else:
@@ -673,25 +676,18 @@ def check_sp_extension(
             "max_atoms": max_atoms,
             "samples": samples,
             "target_depth": target_depth,
-            "budget": budget,
+            "budget": steps,
             "strategy": "fiber-lift",
         },
         seed=seed,
         evidence=evidence,
-        truncation={"target_depth": target_depth, "budget_steps": budget},
+        truncation={"target_depth": target_depth, "budget_steps": steps},
     )
 
 
-def check_contraction_lifting(
-    phi: ExtensionMap,
-    max_atoms: int = 5,
-    samples: int = 40,
-    seed: int = 0,
-    target_depth: int = 20,
-    budget: int = 64,
-    depth: int = 1,
-    radius: int = 4,
-) -> CheckReport:
+def check_contraction_lifting(phi: ExtensionMap, max_atoms: int, samples: int, seed: int,
+                              target_depth: int, steps: int, depth: int,
+                              radius: int) -> CheckReport:
     """Two-way consistency between base contraction and fiber contraction.
 
     Sampled measures whose base push-forward is a point mass must contract;
@@ -730,7 +726,7 @@ def check_contraction_lifting(
                 failed = True
                 entry["violation"] = "fiber-supported sample has non-Dirac push-forward"
             else:
-                ok, _ = _certify(entry, nu, target_depth, budget)
+                ok, _ = _certify(entry, nu, target_depth, steps)
                 budget_hit = budget_hit or ok is None
                 failed = failed or ok is False
         else:
@@ -754,32 +750,28 @@ def check_contraction_lifting(
             "max_atoms": max_atoms,
             "samples": samples,
             "target_depth": target_depth,
-            "budget": budget,
+            "budget": steps,
             "coverage": minimal_report.verdict,
         },
         seed=seed,
         evidence=evidence,
-        truncation={"target_depth": target_depth, "budget_steps": budget,
+        truncation={"target_depth": target_depth, "budget_steps": steps,
                     "coverage_radius": radius},
     )
 
 
 # -- fiber decomposition ---------------------------------------------------------------
 
-def decompose_fibers(
-    phi: ExtensionMap,
-    radius: int = 3,
-    depth: int = 1,
-    samples: int = 3,
-    seed: int = 0,
-) -> CheckReport:
+def decompose_fibers(phi: ExtensionMap, radius: int, depth: int, samples: int,
+                     seed: int) -> CheckReport:
     """Fiber partition of an induced extension with stabilizer bookkeeping.
 
-    For each base point: the point stabilizer (from orbit Schreier
-    generators) must match the conjugated subgroup's coset table exactly;
-    translation by t_j t_i^-1 must carry fiber i to fiber j; stabilizer
-    elements must fix the fiber setwise; and ball words of the conjugated
-    subgroup must cover the depth-d fiber cylinders from sampled starts.
+    For each base point i: the point stabilizer (from orbit Schreier
+    generators) must equal t_i H t_i^-1, read as membership both ways in the
+    two coset tables (so its index is n); translation by t_j t_i^-1 must
+    carry fiber i to fiber j; stabilizer elements must fix the fiber
+    setwise; and ball words of the conjugated subgroup must cover the
+    depth-d fiber cylinders from sampled starts.
     The coset of g.(i, y) is the coset of g t_i whatever y is, so transport
     and setwise invariance are read once each, at one fixed fiber point.
     Invariance is read from the lifts of the fiber's basis letters: lifting
@@ -805,13 +797,16 @@ def decompose_fibers(
     for i in range(1, n + 1):
         t_i = table.rep(i)
         stab = stabilizer_subgroup(base, i)
-        stab_table = enumerate_cosets(stab, max_cosets=4 * n + 4)
-        conj = conjugate_subgroup(sub, t_i)
-        conj_table = enumerate_cosets(conj, max_cosets=4 * n + 4)
-        tables_match = stab_table.to_json() == conj_table.to_json()
-        index_ok = stab_table.size == n
+        t_inv = t_i.inverse()
+        try:
+            stab_table = enumerate_cosets(stab, max_cosets=4 * n + 4)
+        except InfiniteIndexError:  # so stab is not t_i H t_i^-1, of index n
+            stab_table = None
+        tables_match = stab_table is not None and (
+            all(stab_table.coset_of(t_i * h * t_inv) == 1 for h in sub.generators)
+            and all(table.coset_of(t_inv * s * t_i) == 1 for s in stab.generators))
 
-        transport_ok = all(space.act(table.rep(j) * t_i.inverse(), (i, y0))[0] == j
+        transport_ok = all(space.act(table.rep(j) * t_inv, (i, y0))[0] == j
                            for j in range(1, n + 1))
         invariance_ok = all(space.act(space.lift(i, Word(fiber_ctx, (k,))), (i, y0))[0] == i
                             for k in range(1, rank + 1))
@@ -833,14 +828,14 @@ def decompose_fibers(
             "base_point": i,
             "fiber": f"coset {i} x rank-{rank} boundary",
             "stabilizer_generators": [g.to_str() for g in stab.generators],
-            "stabilizer_index": stab_table.size,
+            "stabilizer_index": stab_table.size if stab_table else None,
             "matches_conjugate": tables_match,
             "transport_ok": transport_ok,
             "invariance_ok": invariance_ok,
             "fiber_coverage": f"{len(hit & cyls)}/{len(cyls)}",
         }
         evidence.append(entry)
-        if not (tables_match and index_ok and transport_ok and invariance_ok):
+        if not (tables_match and transport_ok and invariance_ok):
             all_ok = False
         if not fiber_covered:
             coverage_ok = False
@@ -871,7 +866,7 @@ def amenable_size_check(base: FiniteSpace, candidates: Sequence[dict]) -> CheckR
         name = cand["name"]
         space = cand["space"]
         phi = ExtensionMap(space, base, tuple(cand["projection"]))
-        rep = _finite_extension_report(phi)
+        rep = check_finite_extension(phi)
         expected = PASS if space.size == base.size else FAIL
         entry = {
             "candidate": name,

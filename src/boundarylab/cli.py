@@ -53,11 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_induce.add_argument("scenario")
 
-    p_contract = sub.add_parser("contract", help="contract one measure from a file")
+    p_contract = sub.add_parser("contract", help="contract one measure from a file to "
+                                "the scenario's depths.target within budgets.steps")
     p_contract.add_argument("scenario")
     p_contract.add_argument("--measure", required=True, help="measure JSON path")
-    p_contract.add_argument("--target-depth", type=int, default=None)
-    p_contract.add_argument("--steps", type=int, default=None)
 
     sub.add_parser("list-scenarios", help="list bundled scenarios")
     return parser
@@ -129,10 +128,6 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_contract(args) -> int:
-    for flag, value, name in (("--target-depth", args.target_depth, "target_depth"),
-                              ("--steps", args.steps, "budget")):
-        if value is not None and value < 1:
-            raise ScenarioError(f"{flag}: {name} must be >= 1")
     scenario = _load(args.scenario)
     objs = ScenarioObjects(scenario)
     with open(args.measure, "r", encoding="utf-8") as fh:
@@ -144,8 +139,7 @@ def _cmd_contract(args) -> int:
         raise ScenarioError("measure.space: must be 'induced' or 'fiber'")
     space = objs.induced if space_name == "induced" else objs.induced.fiber
     nu = measure_from_json(space, mdata["atoms"])
-    target = scenario.depths["target"] if args.target_depth is None else args.target_depth
-    steps = scenario.budgets["steps"] if args.steps is None else args.steps
+    target, steps = scenario.depths["target"], scenario.budgets["steps"]
     cert = contract_measure(nu, target, steps)
     if cert is None:
         print(json.dumps({"verdict": "INCONCLUSIVE", "target_depth": target,

@@ -69,12 +69,6 @@ def subgroup(ambient, generator_words) -> SubgroupHandle:
     return SubgroupHandle(ambient, gens)
 
 
-def conjugate_subgroup(sub: SubgroupHandle, t: Word) -> SubgroupHandle:
-    """The subgroup t.H.t^-1, generator by generator."""
-    tinv = t.inverse()
-    return SubgroupHandle(sub.ambient, tuple(t * h * tinv for h in sub.generators))
-
-
 @dataclass(frozen=True)
 class FiniteSpace:
     """Finite point space {1..size} with one permutation per ambient generator."""

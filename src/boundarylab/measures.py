@@ -37,9 +37,6 @@ class AtomicMeasure:
     def support(self) -> tuple:
         return tuple(p for p, _ in self.atoms)
 
-    def mass(self):
-        return sum(w for _, w in self.atoms)
-
     @property
     def is_dirac(self) -> bool:
         return len(self.atoms) == 1

@@ -46,7 +46,7 @@ _CONTRACTION = {"max_atoms": 1, "samples": 1, "seed": None, "target_depth": 1, "
 _COVERAGE = {"depth": 0, "radius": 0, "samples": 1, "seed": None}
 
 #: Each known check: the group kind it needs (None: either kind), the integer
-#: fields ``_run_check`` reads for it with their minimums (None: any integer),
+#: fields its engine takes with their minimums (None: any integer),
 #: and the string fields it echoes with the one value each may take.  The
 #: induced-space checks need a free group, the size dichotomy a finite one; an
 #: induced fiber measure fixes the ``sp-extension`` strategy.
@@ -256,45 +256,33 @@ class ScenarioObjects:
 
 # -- check dispatch -------------------------------------------------------------------
 
-def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
-    scenario = objs.scenario
-    name = spec["check"]
+def _check_fields(scenario: Scenario, spec: dict) -> dict:
+    """The integer fields ``KNOWN_CHECKS`` lists for the check, each set to
+    the spec's value, else to the scenario-wide one."""
     depths, budgets = scenario.depths, scenario.budgets
-    seed = spec.get("seed", scenario.seed)
-    contraction = {
-        "max_atoms": spec.get("max_atoms", 5),
-        "samples": spec.get("samples", budgets["samples"]),
-        "seed": seed,
-        "target_depth": spec.get("target_depth", depths["target"]),
-        "budget": spec.get("steps", budgets["steps"]),
-    }
+    wide = {"max_atoms": 5, "samples": budgets["samples"], "seed": scenario.seed,
+            "target_depth": depths["target"], "steps": budgets["steps"],
+            "depth": depths["cylinder"], "radius": budgets["ball_radius"]}
+    if spec["check"] == "minimal-symbolic":
+        wide["samples"] = 10
+    if spec["check"] == "decompose-fibers":
+        wide.update(samples=3, radius=min(3, budgets["ball_radius"]))
+    return {key: spec.get(key, wide[key]) for key in KNOWN_CHECKS[spec["check"]][1]}
+
+
+def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
+    name = spec["check"]
+    fields = _check_fields(objs.scenario, spec)
     if name == "minimal-finite":
         return check_minimal_finite(objs.table)
     if name == "minimal-symbolic":
-        return check_minimal_symbolic(
-            objs.induced,
-            depth=spec.get("depth", depths["cylinder"]),
-            radius=spec.get("radius", budgets["ball_radius"]),
-            samples=spec.get("samples", 10),
-            seed=seed,
-        )
+        return check_minimal_symbolic(objs.induced, **fields)
     if name == "sp-extension":
-        return check_sp_extension(objs.extension, **contraction)
+        return check_sp_extension(objs.extension, **fields)
     if name == "contraction-lifting":
-        return check_contraction_lifting(
-            objs.extension,
-            **contraction,
-            depth=spec.get("depth", depths["cylinder"]),
-            radius=spec.get("radius", budgets["ball_radius"]),
-        )
+        return check_contraction_lifting(objs.extension, **fields)
     if name == "decompose-fibers":
-        return decompose_fibers(
-            objs.extension,
-            radius=spec.get("radius", min(3, budgets["ball_radius"])),
-            depth=spec.get("depth", depths["cylinder"]),
-            samples=spec.get("samples", 3),
-            seed=seed,
-        )
+        return decompose_fibers(objs.extension, **fields)
     # amenable-size: the last of KNOWN_CHECKS, the only names scenario_from_dict admits
     return amenable_size_check(objs.table, objs.candidate_spaces())
 
@@ -339,12 +327,11 @@ def run_scenario(scenario: Scenario) -> RunReport:
         try:
             report = _run_check(objs, spec)
         except BudgetExceededError as exc:
-            seeded = "seed" in KNOWN_CHECKS[spec["check"]][1]
             report = CheckReport(
                 check=spec["check"],
                 verdict="INCONCLUSIVE",
                 parameters=dict(spec),
-                seed=spec.get("seed", scenario.seed) if seeded else None,
+                seed=_check_fields(scenario, spec).get("seed"),
                 evidence=[{"budget_exceeded": str(exc)}],
                 truncation={"budgets": scenario.budgets},
             )
@@ -408,7 +395,7 @@ def replay_certificate(report_data: dict, check_id: str, cert_index: int):
         raise ScenarioError(f"checks[{check_id}].evidence[{cert_index}]: carries no certificate")
     space = ScenarioObjects(scenario).induced
     nu = measure_from_json(space, item.get("measure"))
-    cert = ContractionCertificate.from_json(space.ambient, item["certificate"])
+    cert = ContractionCertificate.from_json(space, item["certificate"])
     ok, detail, _ = replay_steps(nu, cert)
     return ("PASS" if ok else "FAIL"), detail
 

@@ -297,15 +297,15 @@ def induced_point_to_str(point) -> str:
 class ExtensionMap:
     """Surjective equivariant map between spaces.
 
-    ``point_map=None`` means the source is induced and the map drops the fiber
-    coordinate; otherwise ``point_map[p-1]`` maps finite source points.
+    ``point_map`` None means the source is induced and the map drops the
+    fiber coordinate; otherwise ``point_map[p-1]`` maps finite source points.
     Equivariance and surjectivity are contract, not construction-time checks;
     the verification engines test them explicitly.
     """
 
     source: Union[InducedSpace, FiniteSpace]
     target: FiniteSpace
-    point_map: Optional[tuple[int, ...]] = None
+    point_map: Optional[tuple[int, ...]]
 
     def apply(self, p):
         if self.point_map is None:

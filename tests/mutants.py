@@ -39,6 +39,9 @@ KEYS = ("tests/test_measures.py::test_cylinder_keys_are_checked_at_construction"
 WALK = ("tests/test_measures.py::test_walk_matches_per_word_oracle",)
 FIBERS = ("tests/test_checks.py::test_decompose_fibers_reads_invariance_from_every_basis_letter",)
 TAMPERED = ("tests/test_scenario_cli.py::test_cli_tampered_input_exits_2",)
+STABILIZER = ("tests/test_checks.py::"
+              "test_decompose_fibers_reads_a_wrong_stabilizer_as_a_mismatch",)
+FORWARD = ("tests/test_scenario_cli.py::test_run_check_forwards_every_field_under_its_own_name",)
 FOLD = ("tests/test_cosets.py::test_fold_cases_match_merge_oracle",
         "tests/test_cosets.py::test_fold_matches_merge_oracle")
 
@@ -134,6 +137,29 @@ MUTANTS = (
     # a stored certificate names the field it fails on
     Mutant("certificate: a bad step not named", TAMPERED, (
         ("checks.py", 'raise ValueError(f"certificate.steps[{k}]: {exc}") from exc', "raise"),
+    )),
+    Mutant("certificate: an unreduced limit cylinder accepted", TAMPERED, (
+        ("checks.py", "if reduced != cylinder or len(", "if len("),
+    )),
+    Mutant("certificate: a limit coset outside the table accepted", TAMPERED, (
+        ("checks.py", "range(1, space.size + 1) if induced", "range(0, 99) if induced"),
+    )),
+    # the stabilizer of fiber i equals t_i H t_i^-1: membership read both ways
+    Mutant("fibers: stabilizer generators not conjugated back into H", STABILIZER, (
+        ("checks.py", "\n            and all(table.coset_of(t_inv * s * t_i) == 1 for s in stab.generators))",
+         ")"),
+    )),
+    Mutant("fibers: H's generators not conjugated into the stabilizer", STABILIZER, (
+        ("checks.py", "all(stab_table.coset_of(t_i * h * t_inv) == 1 for h in sub.generators)\n"
+                      "            and ", ""),
+    )),
+    # each check setting has one source: the spec, else the scenario
+    Mutant("check fields: the spec value ignored", FORWARD, (
+        ("scenario.py", "spec.get(key, wide[key])", "wide[key]"),
+    )),
+    Mutant("check fields: the spec value ignored for steps only", FORWARD, (
+        ("scenario.py", "spec.get(key, wide[key])",
+         'wide[key] if key == "steps" else spec.get(key, wide[key])'),
     )),
     # setwise invariance read from the lifts of the fiber basis letters
     Mutant("fibers: invariance read from the first basis letter only", FIBERS, (

@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import deque
 
 from boundarylab.checks import _points_depth, concentration
-from boundarylab.cosets import InfiniteIndexError, _canonicalize, _find, rewrite_in_basis
+from boundarylab.cosets import (InfiniteIndexError, SubgroupHandle, _canonicalize, _find,
+                                enumerate_cosets, rewrite_in_basis)
 from boundarylab.measures import pushforward_group
 from boundarylab.spaces import (
     BoundaryPoint,
@@ -85,6 +86,23 @@ def merge_fold_enumerate(sub, max_cosets):
     if table.size != len(live):
         raise AssertionError("coset graph is not connected")
     return table
+
+
+def conjugate_subgroup(sub: SubgroupHandle, t: Word) -> SubgroupHandle:
+    """The subgroup t.H.t^-1, generator by generator."""
+    tinv = t.inverse()
+    return SubgroupHandle(sub.ambient, tuple(t * h * tinv for h in sub.generators))
+
+
+def same_subgroup(sub1: SubgroupHandle, sub2: SubgroupHandle, max_cosets: int) -> bool:
+    """Equality of a subgroup with one of finite index, read off their
+    canonical coset tables (the comparison ``decompose_fibers`` made before it
+    read membership both ways); False when ``sub1`` has infinite index."""
+    try:
+        table1 = enumerate_cosets(sub1, max_cosets=max_cosets)
+    except InfiniteIndexError:
+        return False
+    return table1.to_json() == enumerate_cosets(sub2, max_cosets=max_cosets).to_json()
 
 
 def closure(start, neighbours, cap=None) -> set:

@@ -327,7 +327,7 @@ def test_criterion_05_sp_extension_certificates():
     space = induced_space(table, basis)
     phi = induced_extension(space)
     report = check_sp_extension(phi, max_atoms=5, samples=100, seed=20240601,
-                                target_depth=20, budget=64)
+                                target_depth=20, steps=64)
     assert report.verdict == "PASS"
     replays = 0
     for entry in report.evidence:

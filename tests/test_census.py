@@ -10,10 +10,16 @@ Hall's (M. Hall, "Subgroups of finite index in free groups", Canad. J. Math.
 
 import itertools
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import conjugate_subgroup, same_subgroup
 
-from boundarylab import FiniteSpace, FreeGroup, enumerate_cosets, stabilizer_subgroup
+from boundarylab import (FiniteSpace, FreeGroup, decompose_fibers, enumerate_cosets,
+                         induced_extension, induced_space, schreier_basis, stabilizer_subgroup,
+                         subgroup, word)
 from boundarylab.scenario import report_json_text, run_scenario, scenario_from_dict
 
 
@@ -78,3 +84,34 @@ def test_every_check_on_every_census_subgroup(census):
     assert [k for k, v in verdicts.items() if v == "FAIL"] == []
     assert [k for k, v in verdicts.items()
             if k[1].endswith(("sp-extension", "decompose-fibers")) and v != "PASS"] == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_membership_rule_matches_table_equality(census, data):
+    # decompose-fibers reads Stab(i) == t_i H t_i^-1 as membership both ways;
+    # the oracle compares the canonical coset tables.  The stabilizer of fiber
+    # i is swapped for the true one, one with a word added or a generator and
+    # its inverse dropped, or another census subgroup.
+    table = data.draw(st.sampled_from(census[2]))
+    i = data.draw(st.integers(1, table.size))
+    gens = stabilizer_subgroup(table, i).generators
+    change = data.draw(st.sampled_from(["none", "add", "drop", "census"]))
+    if change == "add":
+        gens += (word(table.ambient, data.draw(st.lists(st.sampled_from([1, -1, 2, -2]),
+                                                         max_size=4))),)
+    elif change == "drop":
+        gone = data.draw(st.sampled_from(gens))
+        gens = tuple(g for g in gens if g not in (gone, gone.inverse()))
+    elif change == "census":
+        gens = data.draw(st.sampled_from(census[2])).subgroup.generators
+    candidate = subgroup(table.ambient, gens)
+    expected = same_subgroup(candidate, conjugate_subgroup(table.subgroup, table.rep(i)), 64)
+
+    def stabilizer(space, x):
+        return candidate if x == i else stabilizer_subgroup(space, x)
+
+    phi = induced_extension(induced_space(table, schreier_basis(table)))
+    with mock.patch("boundarylab.checks.stabilizer_subgroup", stabilizer):
+        report = decompose_fibers(phi, radius=0, depth=1, samples=1, seed=0)
+    assert report.evidence[i - 1]["matches_conjugate"] == expected

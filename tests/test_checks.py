@@ -12,10 +12,12 @@ from boundarylab import (
     FiniteSpace,
     FreeGroup,
     InducedSpace,
+    SubgroupHandle,
     amenable_size_check,
     atomic_measure,
     boundary_point,
     check_contraction_lifting,
+    check_finite_extension,
     check_minimal_finite,
     check_minimal_symbolic,
     check_sp_extension,
@@ -29,6 +31,7 @@ from boundarylab import (
     pushforward_group,
     replay,
     schreier_basis,
+    stabilizer_subgroup,
 )
 from boundarylab.checks import (
     ContractionCertificate,
@@ -342,20 +345,20 @@ def test_finite_contractible_matches_weight_multiset_shortcut(s3_space, z4_space
 
 def test_sp_extension_induced_passes(index2_phi):
     report = check_sp_extension(index2_phi, max_atoms=4, samples=10, seed=3,
-                                target_depth=12, budget=64)
+                                target_depth=12, steps=64)
     assert report.verdict == "PASS"
     assert all(e["certificate"] is not None and e["replay_ok"] for e in report.evidence)
 
 
 def test_sp_extension_tiny_budget_inconclusive(index2_phi):
     report = check_sp_extension(index2_phi, max_atoms=4, samples=6, seed=3,
-                                target_depth=30, budget=2)
+                                target_depth=30, steps=2)
     assert report.verdict == "INCONCLUSIVE"
 
 
 def test_sp_extension_identity_finite(s3_space):
     phi = ExtensionMap(s3_space, s3_space, tuple(s3_space.points()))
-    report = check_sp_extension(phi)
+    report = check_finite_extension(phi)
     assert report.verdict == "PASS"
 
 
@@ -370,7 +373,7 @@ def _doubled_cover(space):
 
 
 def test_sp_extension_doubled_fiber_fails(s3_space):
-    report = check_sp_extension(_doubled_cover(s3_space))
+    report = check_finite_extension(_doubled_cover(s3_space))
     assert report.verdict == "FAIL"
     witnessed = [e for e in report.evidence if "witness_measure" in e]
     assert witnessed and all(e["orbit_verdict"] == "FAIL" for e in witnessed)
@@ -378,7 +381,7 @@ def test_sp_extension_doubled_fiber_fails(s3_space):
 
 def test_sp_extension_flags_non_equivariant_projection(s3_space):
     phi = ExtensionMap(s3_space, s3_space, (2, 1, 3))
-    report = check_sp_extension(phi)
+    report = check_finite_extension(phi)
     assert report.verdict == "FAIL"
     assert report.evidence[0]["violation"] == "equivariance"
 
@@ -388,7 +391,7 @@ def test_sp_extension_flags_non_equivariant_projection(s3_space):
 
 def test_contraction_lifting_passes(index2_phi):
     report = check_contraction_lifting(index2_phi, max_atoms=4, samples=12, seed=5,
-                                       target_depth=10, budget=64, depth=1, radius=4)
+                                       target_depth=10, steps=64, depth=1, radius=4)
     assert report.verdict == "PASS"
     kinds = {e["kind"] for e in report.evidence}
     assert kinds == {"fiber-supported", "spread"}
@@ -404,14 +407,15 @@ def test_contraction_lifting_disabled_fiber_control(index2_table, index2_basis):
     frozen = FrozenFiberSpace(index2_table, index2_basis)
     phi = induced_extension(frozen)
     report = check_contraction_lifting(phi, max_atoms=3, samples=6, seed=5,
-                                       target_depth=8, budget=24, depth=1, radius=3)
+                                       target_depth=8, steps=24, depth=1, radius=3)
     assert report.verdict in ("INCONCLUSIVE", "FAIL")
 
 
 def test_contraction_lifting_nonminimal_base_fails(index2_induced):
     bad_base = FiniteSpace.make(F2, 2, ((1, 2), (1, 2)))
     phi = ExtensionMap(index2_induced, bad_base, None)
-    report = check_contraction_lifting(phi, samples=2, seed=1)
+    report = check_contraction_lifting(phi, max_atoms=5, samples=2, seed=1, target_depth=20,
+                                       steps=64, depth=1, radius=4)
     assert report.verdict == "FAIL"
 
 
@@ -441,7 +445,7 @@ def test_decompose_fibers_index1(index1_table):
 def test_decompose_fibers_requires_induced(s3_space):
     phi = ExtensionMap(s3_space, s3_space, tuple(s3_space.points()))
     with pytest.raises(ValueError):
-        decompose_fibers(phi)
+        decompose_fibers(phi, radius=3, depth=1, samples=3, seed=0)
 
 
 def test_decompose_fibers_catches_a_misrouted_mover(index2_phi, monkeypatch):
@@ -479,6 +483,41 @@ def test_decompose_fibers_reads_invariance_from_every_basis_letter(index2_phi, m
     assert report.verdict == "FAIL"
     assert [e["invariance_ok"] for e in report.evidence] == [False, False]
     assert all(e["transport_ok"] and e["matches_conjugate"] for e in report.evidence)
+
+
+def _parity_stabilizer(space, i):
+    """The words of even b-exponent in Stab(i) of a rank-2 finite space: the
+    stabilizer of i in two copies of the space that b swaps, of index 2 in
+    Stab(i) when Stab(i) holds a word of odd b-exponent."""
+    a, b = space.letter_perms
+    up = tuple(q + space.size for q in a), tuple(q + space.size for q in b)
+    doubled = FiniteSpace.make(space.ambient, 2 * space.size, (a + up[0], up[1] + b))
+    return stabilizer_subgroup(doubled, i)
+
+
+@pytest.mark.parametrize("change", ["add", "drop", "shrink"])
+def test_decompose_fibers_reads_a_wrong_stabilizer_as_a_mismatch(index2_phi, monkeypatch,
+                                                                 change):
+    # add: a generator outside Stab(i) (caught by conjugating the stabilizer
+    # back into H); drop: one generator and its inverse, which leaves a
+    # subgroup of infinite index; shrink: an index-2 subgroup of Stab(i)
+    # (caught by conjugating H's generators into the stabilizer)
+    def wrong(space, i):
+        gens = stabilizer_subgroup(space, i).generators
+        if change == "add":
+            gens += (next(g for g in (generator(F2, 1), generator(F2, 2))
+                          if space.act(g, i) != i),)
+        elif change == "drop":
+            gens = tuple(g for g in gens if g not in (gens[-1], gens[-1].inverse()))
+        else:
+            gens = _parity_stabilizer(space, i).generators
+        return SubgroupHandle(space.ambient, gens)
+
+    monkeypatch.setattr(boundarylab.checks, "stabilizer_subgroup", wrong)
+    report = decompose_fibers(index2_phi, radius=0, depth=1, samples=1, seed=2)
+    assert report.verdict == "FAIL"
+    assert [e["matches_conjugate"] for e in report.evidence] == [False, False]
+    assert all(e["transport_ok"] and e["invariance_ok"] for e in report.evidence)
 
 
 # -- amenable size dichotomy ----------------------------------------------------------------
@@ -571,7 +610,7 @@ def test_certificate_element_order(index2_induced):
 
 def test_check_report_json_shape(index2_phi):
     report = check_sp_extension(index2_phi, max_atoms=3, samples=2, seed=1,
-                                target_depth=8, budget=64)
+                                target_depth=8, steps=64)
     data = report.to_json()
     assert set(data) == {"check", "verdict", "parameters", "seed", "evidence",
                          "truncation"}

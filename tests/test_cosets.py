@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import closure, four_step_act, merge_fold_enumerate, shortlex_key
+from oracles import (closure, conjugate_subgroup, four_step_act, merge_fold_enumerate,
+                     shortlex_key)
 
 from boundarylab import (
     BudgetExceededError,
@@ -13,7 +14,6 @@ from boundarylab import (
     InfiniteIndexError,
     PermutationGroup,
     cocycle,
-    conjugate_subgroup,
     enumerate_cosets,
     eval_in_ambient,
     generator,

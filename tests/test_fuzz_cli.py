@@ -26,7 +26,9 @@ from boundarylab.scenario import KNOWN_CHECKS, ScenarioError, scenario_from_dict
 
 #: Check fields set on every bundled check that reads them, and the budgets of
 #: the free-group scenarios, so that one example runs in well under a second.
-SMALL_FIELDS = {"samples": 2, "radius": 2, "steps": 8, "target_depth": 4, "max_atoms": 2}
+#: With 3 atoms and 4 samples some stored sp-extension certificate has steps,
+#: so a fuzzed replay pushes its measure through them.
+SMALL_FIELDS = {"samples": 4, "radius": 2, "steps": 8, "target_depth": 4, "max_atoms": 3}
 SMALL_BUDGETS = {"ball_radius": 2, "steps": 8, "samples": 2, "max_cosets": 64}
 
 WORDISH = st.text(alphabet="abAB|(1, )/{}x", max_size=4)
@@ -110,7 +112,8 @@ def run_cli(argv) -> tuple[int, str]:
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     """A directory holding the small f2-index2 scenario and its stored report,
-    with the evidence indices of 03-sp-extension that carry a certificate."""
+    with the evidence indices of 03-sp-extension that carry a certificate; at
+    least one of those certificates has steps."""
     root = tmp_path_factory.mktemp("fuzz")
     scenario = root / "f2-index2.json"
     scenario.write_text(json.dumps(SCENARIOS["f2-index2"]))
@@ -118,7 +121,7 @@ def work(tmp_path_factory):
     report = json.loads((root / "report.json").read_text())
     entries = next(c for c in report["checks"] if c["id"] == "03-sp-extension")["evidence"]
     certs = [k for k, e in enumerate(entries) if e["certificate"]]
-    assert certs
+    assert any(entries[k]["certificate"]["steps"] for k in certs)
     return root, report, certs
 
 
@@ -150,7 +153,7 @@ def test_replay_survives_a_mutated_report(work, data):
         entries = next(c for c in doc["checks"] if c["id"] == "03-sp-extension")["evidence"]
         if where == "entry":
             entries[k] = mutate(data, entries[k])
-        else:  # the small run stores no steps, so one key set would rarely fill them
+        else:  # one key set would rarely write a list of words into the steps
             entries[k]["certificate"]["steps"] = data.draw(st.lists(WORDISH, max_size=3))
     code, _ = run_cli(["replay", _write(root / "replay.json", doc),
                        "--check", "03-sp-extension", "--cert", str(k)])

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses, no
 public function, class or module-level constant is dead, no default is one
-that every caller leaves alone, and every listed mutant still applies to the
-source.
+that every caller leaves alone or one that every caller overrides, and every
+listed mutant still applies to the source.
 
 ``__init__.py`` is exempt from the import check, since importing is how it
 re-exports.  A name counts as used when it appears anywhere in the module
@@ -173,6 +173,17 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
+def _has_default(value) -> bool:
+    """Whether a dataclass field's right-hand side gives it a default: any
+    value but a ``field(...)`` call with neither ``default`` nor
+    ``default_factory``."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
 def _defaulted(module: ast.Module):
     """(label, callee name, positional index or None, name) for every defaulted
     parameter of a public function or method, and every defaulted field of a
@@ -195,7 +206,7 @@ def _defaulted(module: ast.Module):
         fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
         if _is_dataclass(node):
             for pos, s in enumerate(fields):
-                if s.value is not None:
+                if _has_default(s.value):
                     yield f"{node.name}.{s.target.id}", node.name, pos, s.target.id
         for fn in node.body:
             if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
@@ -204,12 +215,12 @@ def _defaulted(module: ast.Module):
                 yield from params(fn, fn.name, f"{node.name}.{fn.name}.", 0 if static else 1)
 
 
-def unset_defaults(package: dict[str, str], callers: list[str], allowed=()) -> list[str]:
-    """Labels of the defaulted parameters and dataclass fields of ``package``
-    (module name -> source) that no call, in the package outside ``__init__``
-    or in ``callers``, sets by keyword, by position, or through ``*`` or
-    ``**``, and that ``allowed`` does not name.  A call matches by the bare
-    name it calls, so one that sets a like-named callable counts too."""
+def _defaults_and_calls(package: dict[str, str], callers: list[str]):
+    """Each default of ``package`` (module name -> source) as (label, the calls
+    that set it, the calls that omit it), over the calls in the package
+    outside ``__init__`` and in ``callers``.  A call sets a default by
+    keyword, by position, or through ``*`` or ``**``.  A call matches by the
+    bare name it calls, so a call of a like-named callable counts too."""
     sources = [s for m, s in package.items() if m != "__init__"] + list(callers)
     calls: dict[str, list[ast.Call]] = {}
     for source in sources:
@@ -226,12 +237,27 @@ def unset_defaults(package: dict[str, str], callers: list[str], allowed=()) -> l
             return True
         return pos is not None and len(call.args) > pos
 
-    unset = []
     for source in package.values():
         for label, callee, pos, name in _defaulted(ast.parse(source)):
-            if label not in allowed and not any(sets(c, pos, name) for c in calls.get(callee, ())):
-                unset.append(label)
-    return sorted(unset)
+            found = calls.get(callee, [])
+            setting = [c for c in found if sets(c, pos, name)]
+            yield label, setting, [c for c in found if c not in setting]
+
+
+def unset_defaults(package: dict[str, str], callers: list[str], allowed=()) -> list[str]:
+    """Labels of the defaulted parameters and dataclass fields of ``package``
+    that no call sets (see ``_defaults_and_calls``) and ``allowed`` does not
+    name."""
+    return sorted(label for label, setting, _ in _defaults_and_calls(package, callers)
+                  if not setting and label not in allowed)
+
+
+def unrelied_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Labels of the defaulted parameters and dataclass fields of ``package``
+    that no call omits: each caller passes its own value, so the default is a
+    second copy of a setting that lives elsewhere (or one no caller reaches)."""
+    return sorted(label for label, _, omitting in _defaults_and_calls(package, callers)
+                  if not omitting)
 
 
 def test_unset_defaults_finds_options_no_caller_sets():
@@ -253,6 +279,24 @@ def test_unset_defaults_finds_options_no_caller_sets():
     assert unset_defaults(package, callers, ("D.c", "f.k")) == ["D.m.w", "f.y"]
 
 
+def test_unrelied_defaults_finds_defaults_every_caller_overrides():
+    package = {
+        "a": "from dataclasses import dataclass, field\n\n"
+             "def f(x, y=1, z=2):\n    pass\n\n"
+             "def g(x, y=1):\n    pass\n\n"
+             "def h(x=0):\n    pass\n\n"
+             "def unused(x=0):\n    pass\n\n"
+             "@dataclass\nclass D:\n    a: int\n    b: int = 0\n    c: dict = field(repr=False)\n"
+             "    e: list = field(default_factory=list)\n",
+        "__init__": "from .a import g\ng(1)\n",
+    }
+    callers = ["from a import D, f, g, h\nf(0, 1)\nf(0, 1, z=2)\ng(0, y=2)\n"
+               "h(**{'x': 1})\nD(1, 2, c={})\nD(1, 2, c={}, e=[])\n"]
+    # both f calls pass y, one omits z; __init__'s g(1) does not count; h's **
+    # sets x; unused has no call; field(repr=False) is not a default; D.e is omitted once
+    assert unrelied_defaults(package, callers) == ["D.b", "f.y", "g.y", "h.x", "unused.x"]
+
+
 def test_every_default_is_set_by_some_caller():
     package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
@@ -263,3 +307,11 @@ def test_defaults_kept_are_needed():
     package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert unset_defaults(package, callers) == sorted(DEFAULTS_KEPT)
+
+
+def test_every_default_is_relied_on():
+    """A default that every caller overrides duplicates the setting its callers
+    take from elsewhere (for the engines, the scenario): delete it."""
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unrelied_defaults(package, callers) == []

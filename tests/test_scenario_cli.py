@@ -3,8 +3,11 @@ import time
 
 import pytest
 
+from boundarylab import scenario as scenario_module
+from boundarylab.checks import CheckReport
 from boundarylab.cli import main
 from boundarylab.scenario import (
+    KNOWN_CHECKS,
     ScenarioError,
     ScenarioObjects,
     bundled_scenario_names,
@@ -130,6 +133,36 @@ def test_budget_exceeded_surfaces_as_inconclusive(capsys):
         assert report.seed is None
         if budgets:
             assert report.evidence[0]["budget_exceeded"].startswith("budgets.max_cosets: ")
+
+
+ENGINES = {"minimal-symbolic": "check_minimal_symbolic", "sp-extension": "check_sp_extension",
+           "contraction-lifting": "check_contraction_lifting",
+           "decompose-fibers": "decompose_fibers"}
+
+
+def test_run_check_forwards_every_field_under_its_own_name(monkeypatch):
+    # each engine gets the fields KNOWN_CHECKS lists, by keyword and under the
+    # scenario's names: the spec's value, else the scenario-wide one
+    seen = {}
+    for check, engine in ENGINES.items():
+        def record(_space, _check=check, **fields):
+            seen[_check] = fields
+            return CheckReport(_check, "PASS", {}, None, [], {})
+        monkeypatch.setattr(scenario_module, engine, record)
+    specs = [{"check": check, **{key: 100 + pos for pos, key in enumerate(KNOWN_CHECKS[check][1])}}
+             for check in ENGINES]
+    run_scenario(scenario_from_dict({**SMALL_SCENARIO, "checks": specs}))
+    assert seen == {spec["check"]: {k: v for k, v in spec.items() if k != "check"}
+                    for spec in specs}
+    seen.clear()
+    run_scenario(scenario_from_dict({**SMALL_SCENARIO, "checks": [{"check": c} for c in ENGINES]}))
+    contraction = {"max_atoms": 5, "samples": 4, "seed": 99, "target_depth": 8, "steps": 32}
+    assert seen == {
+        "minimal-symbolic": {"depth": 1, "radius": 3, "samples": 10, "seed": 99},
+        "sp-extension": contraction,
+        "contraction-lifting": {**contraction, "depth": 1, "radius": 3},
+        "decompose-fibers": {"depth": 1, "radius": 3, "samples": 3, "seed": 99},
+    }
 
 
 def test_deep_cylinders_are_inconclusive_before_enumeration():
@@ -343,6 +376,19 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
      "error: certificate.limit_coset: must be an integer or null"),
     ("replay", _tamper_certificate("limit_cylinder", "1"),
      "error: certificate.limit_cylinder: invalid word character '1'"),
+    ("replay", _tamper_certificate("limit_cylinder", "x"),
+     "error: certificate.limit_cylinder: letter 24 out of range for rank-3 context"),
+    ("replay", _tamper_certificate("limit_cylinder", "aA"), "error: certificate.limit_cylinder"),
+    ("replay", _tamper_certificate("limit_cylinder", "aA" * 4),
+     "error: certificate.limit_cylinder: must be a reduced word of length achieved_depth"),
+    ("replay", _tamper_certificate("limit_cylinder", "a"),
+     "error: certificate.limit_cylinder: must be a reduced word of length achieved_depth"),
+    ("replay", _tamper_certificate("limit_coset", 9),
+     "error: certificate.limit_coset: must be a coset in 1..2"),
+    ("replay", _tamper_certificate("limit_coset", 0),
+     "error: certificate.limit_coset: must be a coset in 1..2"),
+    ("replay", _tamper_certificate("limit_coset", None),
+     "error: certificate.limit_coset: must be a coset in 1..2"),
 ], ids=["report-list", "no-scenario", "no-checks", "int-steps", "str-measure",
         "str-achieved-depth", "bare-atom-list", "no-atoms", "atom-without-weight",
         "str-atoms", "coset-above-index", "replay-coset-above-index",
@@ -351,7 +397,9 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
         "weights-sum-below-one", "float-thirds-inexact", "non-integer-coset",
         "bad-word-character", "negative-achieved-depth", "zero-achieved-depth",
         "step-letter-above-rank", "step-bad-character", "str-limit-coset",
-        "cylinder-bad-character"])
+        "cylinder-bad-character", "cylinder-letter-above-fiber-rank",
+        "cylinder-not-reduced", "cylinder-not-reduced-at-full-length", "cylinder-too-short",
+        "limit-coset-above-index", "limit-coset-zero", "limit-coset-null"])
 def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper, fieldname):
     report = json.loads(report_json_text(run_scenario(scenario_from_dict(SMALL_SCENARIO))))
     path = tmp_path / "tampered.json"
@@ -365,22 +413,6 @@ def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper
     err = capsys.readouterr().err
     assert fieldname in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("flag, value, message", [
-    ("--target-depth", "0", "target_depth must be >= 1"),
-    ("--target-depth", "-3", "target_depth must be >= 1"),
-    ("--steps", "0", "budget must be >= 1"),
-    ("--steps", "-3", "budget must be >= 1"),
-])
-def test_cli_contract_nonpositive_depth_or_steps_exits_2(tiny_path, tmp_path, capsys,
-                                                        flag, value, message):
-    mpath = tmp_path / "measure.json"
-    mpath.write_text(json.dumps({"atoms": ATOMS}))
-    assert main(["contract", tiny_path, "--measure", str(mpath), flag, value]) == 2
-    err = capsys.readouterr().err
-    assert message in err
-    assert _one_error_line(err).startswith(f"error: {flag}: ")
 
 
 def _one_error_line(err: str) -> str:
@@ -453,11 +485,16 @@ def test_cli_replay_roundtrip(tiny_path, tmp_path, capsys):
     assert main(["replay", str(out), "--check", "02-sp-extension",
                  "--cert", str(idx)]) == 0
     assert '"verdict": "PASS"' in capsys.readouterr().out
-    # tamper on disk
-    ev[idx]["certificate"]["achieved_depth"] += 5
+    # tamper on disk: a well-formed false claim FAILs, a malformed one exits 2
+    cert = ev[idx]["certificate"]
+    cert["limit_coset"] = 3 - cert["limit_coset"]
     out.write_text(json.dumps(data))
     assert main(["replay", str(out), "--check", "02-sp-extension",
                  "--cert", str(idx)]) == 1
+    cert["achieved_depth"] += 5
+    out.write_text(json.dumps(data))
+    assert main(["replay", str(out), "--check", "02-sp-extension",
+                 "--cert", str(idx)]) == 2
 
 
 def test_cli_replay_on_a_permutation_group_names_the_group_kind(tmp_path, capsys):
@@ -542,8 +579,7 @@ def test_cli_contract(tiny_path, tmp_path, capsys):
     }
     mpath = tmp_path / "measure.json"
     mpath.write_text(json.dumps(measure))
-    assert main(["contract", tiny_path, "--measure", str(mpath),
-                 "--target-depth", "8"]) == 0
+    assert main(["contract", tiny_path, "--measure", str(mpath)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "PASS"
     assert data["certificate"]["limit_coset"] == 2
@@ -563,13 +599,28 @@ def test_cli_contract(tiny_path, tmp_path, capsys):
     assert data["verdict"] == "PASS"
 
 
+def test_cli_contract_reads_target_and_steps_from_the_scenario(tmp_path, capsys):
+    # depths.target and budgets.steps are the only settings: the command has no flags for them
+    assert main(["contract", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--measure" in usage and "--target-depth" not in usage and "--steps" not in usage
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({**SMALL_SCENARIO, "depths": {"target": 30},
+                                "budgets": {"steps": 2}}))
+    mpath = tmp_path / "measure.json"
+    mpath.write_text(json.dumps({"atoms": ATOMS}))
+    assert main(["contract", str(path), "--measure", str(mpath)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "INCONCLUSIVE", "target_depth": 30, "budget_steps": 2}
+
+
 def test_cli_contract_decimal_weights_are_exact(tiny_path, tmp_path, capsys):
     # JSON numbers are read as the decimals they spell: 0.1 + 0.2 + 0.7 == 1
     atoms = [{"point": p, "weight": w}
              for p, w in (("(2, |a)", 0.1), ("(2, |b)", 0.2), ("(2, |c)", 0.7))]
     mpath = tmp_path / "decimal.json"
     mpath.write_text(json.dumps({"atoms": atoms}))
-    assert main(["contract", tiny_path, "--measure", str(mpath), "--target-depth", "8"]) == 0
+    assert main(["contract", tiny_path, "--measure", str(mpath)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
 
 

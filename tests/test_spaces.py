@@ -33,7 +33,8 @@ from boundarylab.spaces import (
     induced_point_to_str,
 )
 from boundarylab.words import ball, cached_ball, reduce_letters
-from oracles import FrozenFiberSpace, padded_boundary_act, sliced_boundary_point
+from oracles import (FrozenFiberSpace, conjugate_subgroup, padded_boundary_act,
+                     sliced_boundary_point)
 
 F2 = FreeGroup(2)
 letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8)
@@ -430,8 +431,6 @@ def test_stabilizers_conjugate(index3_table):
     stabj = stabilizer_subgroup(space, j)
     tj = enumerate_cosets(stabj)
     # conjugating the stabilizer of 1 by any mover gives the stabilizer of j
-    from boundarylab import conjugate_subgroup
-
     conj = enumerate_cosets(conjugate_subgroup(stab1, a))
     assert tj.letter_perms == conj.letter_perms and tj.transversal == conj.transversal
 
