@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .cosets import InfiniteIndexError, enumerate_cosets
@@ -47,7 +48,9 @@ from .words import (
     Word,
     alphabet,
     cached_ball,
+    cyclic_shell,
     is_int,
+    join_reduced,
     letters_from_str,
     letters_to_str,
     parse_word,
@@ -227,17 +230,23 @@ def _push_through(nu: AtomicMeasure, steps):
 
 
 def certificate_element(steps: Sequence[Word]) -> Optional[Word]:
-    """The element s_k ... s_1 that applying s_1, .., s_k in order amounts to,
-    freely reduced in one pass over the reversed steps; None for no steps."""
+    """The element s_k ... s_1 that applying s_1, .., s_k in order amounts to;
+    None for no steps.
+
+    Built run by run over the reversed steps, reducing no letter twice: a run
+    of k equal steps w = u v u^-1, v cyclically reduced, is the reduced word
+    u v^k u^-1, and the reduced runs cancel only at their seams.
+    """
     if not steps:
         return None
     ctx = steps[0].ctx
     letters: list[int] = []
-    for s in reversed(steps):
+    for s, run in groupby(reversed(steps)):
         if s.ctx != ctx:
             raise ValueError("cannot multiply words from mismatched group contexts")
-        letters.extend(s.letters)
-    return Word(ctx, reduce_letters(letters))
+        w, c, k = s.letters, cyclic_shell(s.letters), len(list(run))
+        join_reduced(letters, w[:c] + w[c:len(w) - c] * k + w[len(w) - c:])
+    return Word(ctx, tuple(letters))
 
 
 # -- contraction strategies ---------------------------------------------------------
@@ -273,8 +282,9 @@ def _axis_power_steps(points, rank: int, target: int, budget: int):
     The power is the least k within the budget whose a^k concentrates the
     points to the target depth.  Each pair's depth after k steps has a closed
     form (:func:`_axis_pair_depth`), so no point is moved to count k.  That
-    depth is not monotone in k while leading a^-1 runs cancel, so every k is
-    tried in order.
+    depth is not monotone in k while leading a^-1 runs cancel, but each pair
+    reaches the target on a set {k >= a} u {k <= b}: so the least k is 0 or
+    some pair's a, and only those candidates are tried, in order.
     """
     ctx = FreeGroup(rank)
     g = Word(ctx, (1,))
@@ -298,7 +308,16 @@ def _axis_power_steps(points, rank: int, target: int, budget: int):
         pts = [boundary_act(perturb.letters, p) for p in pts]
     e0 = _axis_exponent(pts[0])
     pairs = [(_axis_exponent(q), common_prefix_depth(pts[0], q)) for q in pts[1:]]
-    for k in range(budget - len(steps) + 1):
+    # each pair's a: the least k with |k + e0| + d - |e0| >= target for equal
+    # exponents (a pair at EQUAL depth always holds), k + min(e0, e) >= target
+    # for unequal ones
+    cands = {0}
+    for e, d in pairs:
+        if e != e0:
+            cands.add(target - min(e0, e))
+        elif d != EQUAL:
+            cands.add(target - d + abs(e0) - e0)
+    for k in sorted(k for k in cands if 0 <= k <= budget - len(steps)):
         if all(_axis_pair_depth(k, e0, e, d) >= target for e, d in pairs):
             return steps + [g] * k
     return None
@@ -360,8 +379,9 @@ def _contract_fiber_lift(nu, target, budget):
     fsteps = _axis_power_steps(fiber_pts, space.fiber.rank, target, budget)
     if fsteps is None:
         return None
-    lifts = {w: space.lift(i, w) for w in set(fsteps)}  # at most two distinct steps
-    return [lifts[w] for w in fsteps]
+    lifts = {w.letters: w for w in fsteps}  # at most two distinct steps
+    lifts = {key: space.lift(i, w) for key, w in lifts.items()}
+    return [lifts[w.letters] for w in fsteps]
 
 
 def steer_into_cylinder(nu: AtomicMeasure, cylinder: tuple[int, ...]) -> Word:

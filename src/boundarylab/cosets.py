@@ -371,9 +371,13 @@ def rewrite_in_basis(table: CosetTable, basis: SchreierBasis, gamma: Word,
     gamma t_i, so that gamma sends the induced point (i, y) to (j, beta . y).
 
     Scans gamma right to left from coset i, one table step per letter, then
-    reverses and reduces the emitted basis letters once.  From i = 1, j is 1
-    exactly when gamma lies in the subgroup, and then beta evaluates back to
-    gamma; the map is a homomorphism there up to free reduction.
+    reverses the emitted basis letters.  They need no reduction: the letters
+    that emit nothing walk the transversal's spanning tree, and a basis letter
+    b and its inverse are the two directions of one edge, so b followed by
+    b^-1 would enclose a reduced loop in that tree, which is empty, and gamma
+    (reduced, as a Word is) would hold x x^-1.  From i = 1, j is 1 exactly
+    when gamma lies in the subgroup, and then beta evaluates back to gamma;
+    the map is a homomorphism there up to free reduction.
     """
     if gamma.ctx != table.ambient:
         raise ValueError("word from a different context")
@@ -385,7 +389,7 @@ def rewrite_in_basis(table: CosetTable, basis: SchreierBasis, gamma: Word,
         i, b = steps[l][i - 1]
         if b:
             out.append(b)
-    return i, Word(basis.free_group(), reduce_letters(out[::-1]))
+    return i, Word(basis.free_group(), tuple(out[::-1]))
 
 
 def eval_in_ambient(basis: SchreierBasis, w: Word) -> Word:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Sequence, Union
 
+from .cosets import rewrite_in_basis
 from .spaces import (
     BoundaryPoint,
     BoundarySpace,
@@ -66,10 +68,21 @@ def dirac(space, p) -> AtomicMeasure:
 
 
 def pushforward_group(gamma: Word, nu: AtomicMeasure) -> AtomicMeasure:
-    """Image measure under the action of a group element (mass preserved)."""
-    return atomic_measure(
-        nu.space, [(nu.space.act(gamma, p), w) for p, w in nu.atoms]
-    )
+    """Image measure under the action of a group element (mass preserved).
+
+    On an induced space the atoms of one coset i share the move
+    ``(j, beta(gamma, i))``, so gamma is rewritten once per run of atoms in
+    one coset (atoms sort by coset first) and each fiber point moves by beta
+    through the fiber's action, as :meth:`InducedSpace.act` moves one point.
+    """
+    space = nu.space
+    if not isinstance(space, InducedSpace):
+        return atomic_measure(space, [(space.act(gamma, p), w) for p, w in nu.atoms])
+    fiber, pairs = space.fiber, []
+    for i, atoms in groupby(nu.atoms, key=lambda atom: atom[0][0]):
+        j, beta = rewrite_in_basis(space.table, space.basis, gamma, i)
+        pairs.extend(((j, fiber.act(beta, y)), w) for (_, y), w in atoms)
+    return atomic_measure(space, pairs)
 
 
 def pushforward_map(phi: ExtensionMap, nu: AtomicMeasure) -> AtomicMeasure:

@@ -33,6 +33,8 @@ from .words import (
     Word,
     _count_cylinders,
     alphabet,
+    cyclic_shell,
+    join_reduced,
     letters_from_str,
     letters_to_str,
     reduce_letters,
@@ -67,10 +69,8 @@ class BoundaryPoint:
         """First n letters of the infinite word."""
         if n <= len(self.prefix):
             return self.prefix[:n]
-        out = list(self.prefix)
-        while len(out) < n:
-            out.extend(self.period)
-        return tuple(out[:n])
+        copies = -(-(n - len(self.prefix)) // len(self.period))
+        return (self.prefix + self.period * copies)[:n]
 
     def to_str(self) -> str:
         return f"{letters_to_str(self.prefix)}|{letters_to_str(self.period)}"
@@ -96,12 +96,9 @@ def boundary_point(prefix, period) -> BoundaryPoint:
 
     # cyclic reduction: period = s c s^-1 contributes s to the prefix (a
     # reduced period keeps at least one letter)
-    n = len(period)
-    s = 0
-    while n - 2 * s >= 2 and period[s] == -period[n - 1 - s]:
-        s += 1
+    s = cyclic_shell(period)
     prefix = reduce_letters(prefix + period[:s])
-    period = period[s:n - s]
+    period = period[s:len(period) - s]
 
     # primitive root, taken before _seat rotates it: rotations stay primitive
     n = len(period)
@@ -163,12 +160,14 @@ def common_prefix_depth(x1: BoundaryPoint, x2: BoundaryPoint):
 
 
 def boundary_act(g_letters: tuple[int, ...], point: BoundaryPoint) -> BoundaryPoint:
-    """Left concatenation g . point, exact, for a point in the normal form
-    :func:`boundary_point` builds: left multiplication keeps the period
-    cyclically reduced and primitive, so only the seam moves."""
+    """Left concatenation g . point, exact, for reduced ``g_letters`` (a
+    Word's letters are) and a point in the normal form :func:`boundary_point`
+    builds: g and the prefix cancel only at their seam, and left
+    multiplication keeps the period cyclically reduced and primitive, so only
+    the seam moves."""
     if not g_letters:
         return point
-    return _seat(reduce_letters(g_letters + point.prefix), point.period)
+    return _seat(tuple(join_reduced(list(g_letters), point.prefix)), point.period)
 
 
 def cylinder_after(g_letters: tuple[int, ...], point: BoundaryPoint, depth: int) -> tuple[int, ...]:

@@ -73,6 +73,27 @@ def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def join_reduced(out: list[int], letters: Sequence[int]) -> list[int]:
+    """Append the reduced ``letters`` to the reduced list ``out``, in place,
+    and return it: two reduced words cancel only at their seam."""
+    k = 0
+    while k < len(letters) and out and out[-1] == -letters[k]:
+        out.pop()
+        k += 1
+    out.extend(letters[k:])
+    return out
+
+
+def cyclic_shell(letters: Sequence[int]) -> int:
+    """For reduced letters, the length s of the longest u with
+    ``letters = u v u^-1`` and v nonempty (unless the word is empty); v is
+    then cyclically reduced."""
+    n, s = len(letters), 0
+    while n - 2 * s >= 2 and letters[s] == -letters[n - 1 - s]:
+        s += 1
+    return s
+
+
 def _check_letters(ctx, letters: Sequence[int]) -> None:
     rank = ctx.rank
     for l in letters:
@@ -101,13 +122,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.ctx != other.ctx:
             raise ValueError("cannot multiply words from mismatched group contexts")
-        a = list(self.letters)
-        b = other.letters
-        i = 0
-        while a and i < len(b) and a[-1] == -b[i]:
-            a.pop()
-            i += 1
-        return Word(self.ctx, tuple(a) + b[i:])
+        return Word(self.ctx, tuple(join_reduced(list(self.letters), other.letters)))
 
     def inverse(self) -> "Word":
         return Word(self.ctx, tuple(-l for l in reversed(self.letters)))

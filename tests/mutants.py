@@ -44,6 +44,9 @@ STABILIZER = ("tests/test_checks.py::"
 FORWARD = ("tests/test_scenario_cli.py::test_run_check_forwards_every_field_under_its_own_name",)
 FOLD = ("tests/test_cosets.py::test_fold_cases_match_merge_oracle",
         "tests/test_cosets.py::test_fold_matches_merge_oracle")
+PUSH = ("tests/test_measures.py::test_pushforward_per_coset_matches_four_step_oracle",)
+RUNS = ("tests/test_checks.py::test_certificate_element_matches_flat_reduction",)
+AXIS = ("tests/test_checks.py::test_axis_power_search_matches_stepwise_oracle",)
 
 _ROOT = """    n = len(period)
     for d in _divisors(n):
@@ -55,7 +58,8 @@ _ROOT = """    n = len(period)
 MUTANTS = (
     # boundary_act moves the seam only
     Mutant("act: prefix dropped from the join", SEAM, (
-        ("spaces.py", "reduce_letters(g_letters + point.prefix)", "reduce_letters(g_letters)"),
+        ("spaces.py", "join_reduced(list(g_letters), point.prefix)",
+         "join_reduced(list(g_letters), ())"),
     )),
     Mutant("seat: period index not taken mod n", SEAM, (
         ("spaces.py", "-period[c % n]", "-period[c]"),
@@ -74,7 +78,7 @@ MUTANTS = (
     )),
     # one Schreier scan from any coset
     Mutant("rewrite: emitted letters not reversed", REWRITE, (
-        ("cosets.py", "reduce_letters(out[::-1])", "reduce_letters(out)"),
+        ("cosets.py", "tuple(out[::-1])", "tuple(out)"),
     )),
     Mutant("rewrite: wrong sign on inverse steps", REWRITE, (
         ("cosets.py", "(j, b), (i, -b)", "(j, b), (i, b)"),
@@ -133,6 +137,21 @@ MUTANTS = (
     )),
     Mutant("fold: backward read follows the letter, not its inverse", FOLD, (
         ("cosets.py", "adj[v].get(-loop[g - 1])", "adj[v].get(loop[g - 1])"),
+    )),
+    # a push rewrites gamma once per coset; a run of steps is u v^k u^-1; two
+    # reduced words cancel only at their seam; the least power is a candidate
+    Mutant("push: the first coset's beta reused for every atom", PUSH, (
+        ("measures.py", "rewrite_in_basis(space.table, space.basis, gamma, i)",
+         "rewrite_in_basis(space.table, space.basis, gamma, nu.atoms[0][0][0])"),
+    )),
+    Mutant("runs: power taken without the cyclic-core strip", RUNS, (
+        ("checks.py", "w[:c] + w[c:len(w) - c] * k + w[len(w) - c:]", "w * k"),
+    )),
+    Mutant("join: seam stops after one cancellation", RUNS + SEAM, (
+        ("words.py", "    while k < len(letters) and out", "    if k < len(letters) and out"),
+    )),
+    Mutant("axis power: the equal-exponent threshold not a candidate", AXIS, (
+        ("checks.py", "cands.add(target - d + abs(e0) - e0)", "pass"),
     )),
     # a stored certificate names the field it fails on
     Mutant("certificate: a bad step not named", TAMPERED, (

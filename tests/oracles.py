@@ -1,5 +1,5 @@
 """Simple reference implementations that the fast paths are tested against,
-and test doubles.
+test doubles, and random inputs that several test files share.
 
 Each function here is the straightforward version a faster one in ``src/``
 replaced; the property tests assert that both give identical results.
@@ -8,10 +8,12 @@ replaced; the property tests assert that both give identical results.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
 from boundarylab.checks import _points_depth, concentration
-from boundarylab.cosets import (InfiniteIndexError, SubgroupHandle, _canonicalize, _find,
-                                enumerate_cosets, rewrite_in_basis)
+from boundarylab.cosets import (FiniteSpace, InfiniteIndexError, SchreierBasis, SubgroupHandle,
+                                _canonicalize, _find, enumerate_cosets, rewrite_in_basis,
+                                schreier_basis)
 from boundarylab.measures import pushforward_group
 from boundarylab.spaces import (
     BoundaryPoint,
@@ -21,6 +23,7 @@ from boundarylab.spaces import (
     boundary_act,
     boundary_point,
     cylinder_after,
+    stabilizer_subgroup,
 )
 from boundarylab.words import (
     BudgetExceededError,
@@ -229,14 +232,14 @@ def four_step_act(space, gamma, point):
     return (j, boundary_act(beta.letters, y))
 
 
-class FrozenFiberSpace(InducedSpace):
-    """An induced space with the fiber motion ablated, as a control: the coset
-    still moves but the fiber coordinate never does, so no non-trivial fiber
-    measure can concentrate."""
-
-    def act(self, gamma, point):
-        i, y = point
-        return (self.table.coset_of(gamma * self.table.rep(i)), y)
+def frozen_fiber_space(table, basis: SchreierBasis) -> InducedSpace:
+    """An induced space with the fiber motion ablated, as a control: the basis
+    keeps its generators but every Schreier step emits no letter, so the
+    coset still moves but the fiber coordinate never does, through the
+    single-point action, the per-coset push-forward and the Poisson walk
+    alike, and no non-trivial fiber measure can concentrate."""
+    steps = {l: tuple((j, 0) for j, _ in row) for l, row in basis.steps.items()}
+    return InducedSpace(table, replace(basis, steps=steps))
 
 
 def sliced_boundary_point(prefix, period):
@@ -319,3 +322,18 @@ def stepwise_push_through(nu, steps):
         cur = pushforward_group(step, cur)
     depth, coset = concentration(cur)
     return cur, depth, coset
+
+
+def random_induced_space(rng, max_index: int) -> InducedSpace:
+    """The induced space of a random subgroup of F2 or F3 of index m <= max_index:
+    the stabilizer of point 1 under a random transitive action on 1..m (the
+    first generator cycles through every point, the others are random)."""
+    ctx = FreeGroup(rng.randint(2, 3))
+    m = rng.randint(1, max_index)
+    cycle = rng.sample(range(1, m + 1), m)
+    first = [0] * m
+    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+        first[x - 1] = y
+    perms = [first] + [rng.sample(range(1, m + 1), m) for _ in range(ctx.rank - 1)]
+    table = enumerate_cosets(stabilizer_subgroup(FiniteSpace.make(ctx, m, perms), 1))
+    return InducedSpace(table, schreier_basis(table))

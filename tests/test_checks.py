@@ -39,14 +39,15 @@ from boundarylab.checks import (
     _push_through,
     certificate_element,
     concentration,
+    random_walk_letters,
     sample_boundary_measure,
     sample_boundary_point,
     sample_fiber_measure,
     steer_into_cylinder,
 )
 from boundarylab.measures import CylinderFunction, isometry_defect
-from boundarylab.words import cached_ball
-from oracles import FrozenFiberSpace, stepwise_axis_power_steps, stepwise_push_through
+from boundarylab.words import Word, cached_ball, reduce_letters, word
+from oracles import frozen_fiber_space, stepwise_axis_power_steps, stepwise_push_through
 
 F2 = FreeGroup(2)
 Y2 = BoundarySpace(2)
@@ -187,7 +188,7 @@ def test_contract_validates_parameters():
 
 
 def test_disabled_fiber_action_never_contracts(index2_table, index2_basis):
-    frozen = FrozenFiberSpace(index2_table, index2_basis)
+    frozen = frozen_fiber_space(index2_table, index2_basis)
     y1, y2 = boundary_point((), (1,)), boundary_point((), (2,))
     nu = atomic_measure(frozen, [((2, y1), Fraction(1, 2)), ((2, y2), Fraction(1, 2))])
     assert contract_measure(nu, 5, 32) is None
@@ -311,6 +312,53 @@ def test_contract_and_replay_letters_grow_linearly_in_depth(index2_induced, monk
     assert letters[1] <= 5 * letters[0]
 
 
+def _counting(monkeypatch, modules, name):
+    """Count the calls of ``name`` from every module in ``modules`` that holds
+    the same function; returns the one-element counter."""
+    original = getattr(modules[0], name)
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for mod in modules:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_replay_rewrites_once_per_coset(index2_induced, monkeypatch):
+    """Replaying the certificate of a 6-atom measure in one coset rewrites the
+    product of the steps once, not once per atom.  A count, not a timing."""
+    pts = [boundary_point((), (l,)) for l in (1, -1, 2, -2, 3, -3)]
+    nu = atomic_measure(index2_induced, [((2, p), Fraction(1, 6)) for p in pts])
+    cert = contract_measure(nu, 64, 256)
+    assert cert is not None and len(cert.steps) > 64
+    calls = _counting(monkeypatch, (boundarylab.cosets, boundarylab, boundarylab.spaces,
+                                    boundarylab.measures, boundarylab.checks),
+                      "rewrite_in_basis")
+    assert replay(nu, cert)[0]
+    assert calls[0] == 1
+
+
+def test_axis_power_search_work_does_not_grow_with_depth(index2_induced, monkeypatch):
+    """The fiber-lift search evaluates the pair depth at candidate powers
+    only, so the number of evaluations does not grow with the target depth."""
+    calls = _counting(monkeypatch, (boundarylab.checks,), "_axis_pair_depth")
+    nu = atomic_measure(index2_induced, [
+        ((2, boundary_point((-1, -1, 2), (1,))), Fraction(1, 3)),
+        ((2, boundary_point((), (2,))), Fraction(1, 3)),
+        ((2, boundary_point((3, -2), (-3, 1))), Fraction(1, 3)),
+    ])
+    counts = []
+    for depth in (256, 1024):
+        calls[0] = 0
+        assert contract_measure(nu, depth, 4 * depth) is not None
+        counts.append(calls[0])
+    assert 0 < counts[1] <= counts[0]
+
+
 # -- finite orbit oracle -------------------------------------------------------------
 
 
@@ -404,7 +452,7 @@ def test_contraction_lifting_disabled_fiber_control(index2_table, index2_basis):
     # with the fiber action ablated, the obligations cannot discharge
     from boundarylab.spaces import induced_extension
 
-    frozen = FrozenFiberSpace(index2_table, index2_basis)
+    frozen = frozen_fiber_space(index2_table, index2_basis)
     phi = induced_extension(frozen)
     report = check_contraction_lifting(phi, max_atoms=3, samples=6, seed=5,
                                        target_depth=8, steps=24, depth=1, radius=3)
@@ -603,6 +651,49 @@ def test_certificate_element_order(index2_induced):
         for s in cert.steps:
             stepped = pushforward_group(s, stepped)
         assert pushforward_group(g, nu) == stepped
+
+
+def _run_steps(rng):
+    """(context, steps) in runs of equal steps: random reduced words,
+    conjugates u v u^-1, the identity, a run equal to an earlier one but built
+    anew (as a stored certificate parses it), and the inverse of the last run,
+    as many times, so that two runs cancel completely."""
+    ctx = FreeGroup(rng.randint(2, 3))
+    runs = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(["word", "conjugate", "identity", "again", "undo"])
+        k = rng.randint(1, 5)
+        if kind == "conjugate":
+            u, v = random_walk_letters(rng, ctx.rank, 5), random_walk_letters(rng, ctx.rank, 4)
+            w = word(ctx, u + v + tuple(-l for l in reversed(u)))
+        elif kind == "identity":
+            w = Word(ctx, ())
+        elif kind == "again" and runs:
+            w = Word(ctx, rng.choice(runs)[0].letters)
+        elif kind == "undo" and runs:
+            w, k = runs[-1][0].inverse(), runs[-1][1]
+        else:
+            w = word(ctx, random_walk_letters(rng, ctx.rank, 6))
+        runs.append((w, k))
+    return ctx, [w for w, k in runs for _ in range(k)]
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_certificate_element_matches_flat_reduction(seed):
+    # runs multiplied as u v^k u^-1 and joined at the seam, against one
+    # reduction of all the letters
+    ctx, steps = _run_steps(random.Random(seed))
+    flat = [l for s in reversed(steps) for l in s.letters]
+    assert certificate_element(steps) == Word(ctx, reduce_letters(flat))
+
+
+def test_certificate_element_runs_examples():
+    w = parse_word(F2, "abA")
+    assert certificate_element([w] * 4).to_str() == "abbbbA"
+    assert certificate_element([w] * 3 + [w.inverse()] * 3).is_identity
+    ab = parse_word(F2, "ab")
+    assert certificate_element([ab, ab.inverse(), ab]).to_str() == "ab"
+    assert certificate_element([parse_word(F2, "bA")] * 2 + [ab] * 2).to_str() == "ababbAbA"
 
 
 # -- report shape ------------------------------------------------------------------------

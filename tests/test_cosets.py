@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (closure, conjugate_subgroup, four_step_act, merge_fold_enumerate,
-                     shortlex_key)
+                     random_induced_space, shortlex_key)
 
 from boundarylab import (
     BudgetExceededError,
@@ -432,6 +432,21 @@ def test_rewrite_from_every_coset_against_word_products(case, seed):
             assert j == table.coset_of(gamma * table.rep(i))
             assert eval_in_ambient(basis, beta) == table.rep(j).inverse() * gamma * table.rep(i)
         assert (rewrite_in_basis(table, basis, gamma, 1)[0] == 1) == (table.coset_of(gamma) == 1)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32))
+def test_rewrite_output_is_reduced_from_every_coset(seed):
+    # the scan emits a reduced basis word from every coset, with no reduction
+    # pass, for reduced words on random subgroups of index <= 16
+    rng = random.Random(seed)
+    space = random_induced_space(rng, 16)
+    table, basis = space.table, space.basis
+    for _ in range(5):
+        gamma = _random_word(rng, table.ambient, 40)
+        for i in table.points():
+            beta = rewrite_in_basis(table, basis, gamma, i)[1]
+            assert beta.letters == reduce_letters(beta.letters)
 
 
 def test_cocycle_against_independent_form(index2_table, index3_table):

@@ -9,9 +9,11 @@ from oracles import (
     atom_sort_key,
     cylinder_key,
     cylinder_value,
+    four_step_act,
     per_word_defect,
     per_word_poisson_transform,
     per_word_value,
+    random_induced_space,
 )
 
 from boundarylab import (
@@ -41,7 +43,7 @@ from boundarylab.measures import (
     weight_from_json,
 )
 from boundarylab.spaces import BoundaryPoint, boundary_act
-from boundarylab.words import DEFAULT_BALL_CAP, BudgetExceededError, cached_ball
+from boundarylab.words import DEFAULT_BALL_CAP, BudgetExceededError, Word, cached_ball
 
 F2 = FreeGroup(2)
 Y2 = BoundarySpace(2)
@@ -134,6 +136,26 @@ def test_pushforward_is_action():
         assert pushforward_group(g1 * g2, nu) == pushforward_group(
             g1, pushforward_group(g2, nu)
         )
+
+
+@given(space_pos=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_pushforward_per_coset_matches_four_step_oracle(walk_spaces, space_pos, seed):
+    # one rewrite per coset and the fiber action per atom, against the cocycle
+    # route per atom, on index 2 and 3 and random subgroups of index <= 16,
+    # with several atoms in each of up to three cosets
+    rng = random.Random(seed)
+    space = walk_spaces[space_pos] if space_pos < 4 else random_induced_space(rng, 16)
+    ctx, rank = space.ambient, space.fiber.rank
+    cosets = rng.sample(range(1, space.size + 1), min(space.size, 3))
+    pts = list(dict.fromkeys((rng.choice(cosets), walk_point(rng, rank, rng.randint(0, 8)))
+                             for _ in range(rng.randint(1, 8))))
+    raw = [rng.randint(1, 9) for _ in pts]
+    nu = atomic_measure(space, [(p, Fraction(k, sum(raw))) for p, k in zip(pts, raw)])
+    for _ in range(5):
+        gamma = Word(ctx, random_walk_letters(rng, ctx.rank, 16))
+        expected = atomic_measure(space, [(four_step_act(space, gamma, p), w)
+                                          for p, w in nu.atoms])
+        assert pushforward_group(gamma, nu) == expected
 
 
 def test_pushforward_map_and_fiber_support(index2_induced, index2_phi):

@@ -33,7 +33,7 @@ from boundarylab.spaces import (
     induced_point_to_str,
 )
 from boundarylab.words import ball, cached_ball, reduce_letters
-from oracles import (FrozenFiberSpace, conjugate_subgroup, padded_boundary_act,
+from oracles import (conjugate_subgroup, frozen_fiber_space, padded_boundary_act,
                      sliced_boundary_point)
 
 F2 = FreeGroup(2)
@@ -371,7 +371,7 @@ def test_fiber_invariance_ambient_ball(index2_induced):
 
 
 def test_disabled_fiber_action_is_still_an_action(index2_table, index2_basis):
-    frozen = FrozenFiberSpace(index2_table, index2_basis)
+    frozen = frozen_fiber_space(index2_table, index2_basis)
     rng = random.Random(2)
     B = cached_ball(F2, 3)
     for _ in range(100):
