@@ -16,7 +16,6 @@ from .checks import contract_measure, replay as replay_steps
 from .measures import measure_from_json
 from .scenario import (
     ScenarioError,
-    ScenarioObjects,
     bundled_scenario_names,
     load_bundled_scenario,
     load_scenario,
@@ -94,16 +93,13 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    scenario = _load(args.scenario)
-    objs = ScenarioObjects(scenario)
-    print(json.dumps(objs.table.to_json(), indent=2, sort_keys=True))
+    print(json.dumps(_load(args.scenario).table.to_json(), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_induce(args) -> int:
     scenario = _load(args.scenario)
-    objs = ScenarioObjects(scenario)
-    space = objs.induced
+    space = scenario.induced
     y0 = boundary_point((), (1,))
     samples = []
     for x in range(1, scenario.group.rank + 1):
@@ -118,9 +114,9 @@ def _cmd_induce(args) -> int:
                 }
             )
     out = {
-        "table": objs.table.to_json(),
-        "schreier_rank": objs.basis.rank,
-        "basis": [g.to_str() for g in objs.basis.generators],
+        "table": scenario.table.to_json(),
+        "schreier_rank": scenario.basis.rank,
+        "basis": [g.to_str() for g in scenario.basis.generators],
         "action_samples": samples,
     }
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -129,7 +125,6 @@ def _cmd_induce(args) -> int:
 
 def _cmd_contract(args) -> int:
     scenario = _load(args.scenario)
-    objs = ScenarioObjects(scenario)
     with open(args.measure, "r", encoding="utf-8") as fh:
         mdata = json.load(fh)
     if not isinstance(mdata, dict) or "atoms" not in mdata:
@@ -137,7 +132,7 @@ def _cmd_contract(args) -> int:
     space_name = mdata.get("space", "induced")  # it alone picks the contraction strategy
     if space_name not in ("induced", "fiber"):
         raise ScenarioError("measure.space: must be 'induced' or 'fiber'")
-    space = objs.induced if space_name == "induced" else objs.induced.fiber
+    space = scenario.induced if space_name == "induced" else scenario.induced.fiber
     nu = measure_from_json(space, mdata["atoms"])
     target, steps = scenario.depths["target"], scenario.budgets["steps"]
     cert = contract_measure(nu, target, steps)

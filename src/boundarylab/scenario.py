@@ -3,7 +3,9 @@
 A scenario is a single JSON document; every word is a string in the package
 serialization ("abA" = a.b.a^-1).  All randomness flows from the scenario
 seed, so two runs of the same file produce identical evidence; wall-clock
-fields are the only nondeterministic part of a report.
+fields are the only nondeterministic part of a report.  A parsed
+:class:`Scenario` also builds, once and only when a check asks, the coset
+table, Schreier basis and induced space that all its checks share.
 """
 
 from __future__ import annotations
@@ -46,17 +48,23 @@ _CONTRACTION = {"max_atoms": 1, "samples": 1, "seed": None, "target_depth": 1, "
 _COVERAGE = {"depth": 0, "radius": 0, "samples": 1, "seed": None}
 
 #: Each known check: the group kind it needs (None: either kind), the integer
-#: fields its engine takes with their minimums (None: any integer),
-#: and the string fields it echoes with the one value each may take.  The
-#: induced-space checks need a free group, the size dichotomy a finite one; an
-#: induced fiber measure fixes the ``sp-extension`` strategy.
+#: fields its engine takes with their minimums (None: any integer), the string
+#: fields it echoes with the one value each may take, and its engine call on
+#: the scenario and the resolved integer fields.  The induced-space checks need
+#: a free group, the size dichotomy a finite one; an induced fiber measure fixes
+#: the ``sp-extension`` strategy.  Each call looks its engine up by module name
+#: when it runs, so a rebinding of that name is seen.
 KNOWN_CHECKS = {
-    "minimal-finite": (None, {}, {}),
-    "minimal-symbolic": ("free", _COVERAGE, {}),
-    "sp-extension": ("free", _CONTRACTION, {"strategy": "fiber-lift"}),
-    "contraction-lifting": ("free", {**_CONTRACTION, "depth": 0, "radius": 0}, {}),
-    "decompose-fibers": ("free", _COVERAGE, {}),
-    "amenable-size": ("permutation", {}, {}),
+    "minimal-finite": (None, {}, {}, lambda sc, _: check_minimal_finite(sc.table)),
+    "minimal-symbolic": ("free", _COVERAGE, {},
+                         lambda sc, f: check_minimal_symbolic(sc.induced, **f)),
+    "sp-extension": ("free", _CONTRACTION, {"strategy": "fiber-lift"},
+                     lambda sc, f: check_sp_extension(sc.extension, **f)),
+    "contraction-lifting": ("free", {**_CONTRACTION, "depth": 0, "radius": 0}, {},
+                            lambda sc, f: check_contraction_lifting(sc.extension, **f)),
+    "decompose-fibers": ("free", _COVERAGE, {}, lambda sc, f: decompose_fibers(sc.extension, **f)),
+    "amenable-size": ("permutation", {}, {},
+                      lambda sc, _: amenable_size_check(sc.table, sc.candidate_spaces())),
 }
 
 
@@ -78,6 +86,11 @@ def _require(cond: bool, fieldname: str, message: str) -> None:
 
 @dataclass
 class Scenario:
+    """A validated scenario file and the spaces its checks share: the coset
+    table of H in the group, and for a free group the Schreier basis, the
+    induced space Γ ×_H ∂H and its extension onto Γ/H.  Each is built on first
+    use and kept; a build that raises is retried on the next use."""
+
     name: str
     group: FreeGroup | PermutationGroup
     subgroup_words: tuple[Word, ...]
@@ -87,6 +100,47 @@ class Scenario:
     checks: list
     extensions: list
     raw: dict = field(repr=False)
+
+    @cached_property
+    def table(self) -> CosetTable:
+        handle = subgroup(self.group, self.subgroup_words)
+        try:
+            return enumerate_cosets(handle, max_cosets=self.budgets["max_cosets"])
+        except InfiniteIndexError as exc:
+            raise ScenarioError(f"subgroup: {exc}") from exc
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"budgets.max_cosets: {exc}") from exc
+
+    @cached_property
+    def basis(self) -> SchreierBasis:
+        if not isinstance(self.group, FreeGroup):
+            raise ScenarioError("group.kind: a Schreier basis and an induced space "
+                                "need a free group")
+        return schreier_basis(self.table)
+
+    @cached_property
+    def induced(self) -> InducedSpace:
+        return induced_space(self.table, self.basis)
+
+    @property
+    def extension(self) -> ExtensionMap:
+        return induced_extension(self.induced)
+
+    def candidate_spaces(self) -> list:
+        out = []
+        for pos, cand in enumerate(self.extensions):
+            perms = [cand["action"][letters_to_str((x,))] for x in range(1, self.group.rank + 1)]
+            space = FiniteSpace.make(self.group, cand["size"], perms)
+            n = self.table.size
+            if not all(is_int(v) and 1 <= v <= n for v in cand["projection"]):
+                raise ScenarioError(
+                    f"extensions[{pos}].projection: values must lie in 1..{n}"
+                )
+            out.append(
+                {"name": cand["name"], "space": space,
+                 "projection": tuple(cand["projection"])}
+            )
+        return out
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -147,7 +201,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require(isinstance(c["check"], str) and c["check"] in KNOWN_CHECKS,
                  f"checks[{pos}].check",
                  f"unknown check {c['check']!r}; known: {', '.join(KNOWN_CHECKS)}")
-        need, fields, fixed = KNOWN_CHECKS[c["check"]]
+        need, fields, fixed, _ = KNOWN_CHECKS[c["check"]]
         _require((need or kind) == kind, f"checks[{pos}].check",
                  f"{c['check']!r} needs a {need} group")
         _require(need != "free" or group.rank >= 2, "group.rank",
@@ -203,58 +257,7 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data)
 
 
-# -- built objects ------------------------------------------------------------------
-
-class ScenarioObjects:
-    """Lazily built group/space objects shared by all checks of a run."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-
-    @cached_property
-    def table(self) -> CosetTable:
-        handle = subgroup(self.scenario.group, self.scenario.subgroup_words)
-        try:
-            return enumerate_cosets(handle, max_cosets=self.scenario.budgets["max_cosets"])
-        except InfiniteIndexError as exc:
-            raise ScenarioError(f"subgroup: {exc}") from exc
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(f"budgets.max_cosets: {exc}") from exc
-
-    @cached_property
-    def basis(self) -> SchreierBasis:
-        if not isinstance(self.scenario.group, FreeGroup):
-            raise ScenarioError("group.kind: a Schreier basis and an induced space "
-                                "need a free group")
-        return schreier_basis(self.table)
-
-    @cached_property
-    def induced(self) -> InducedSpace:
-        return induced_space(self.table, self.basis)
-
-    @property
-    def extension(self) -> ExtensionMap:
-        return induced_extension(self.induced)
-
-    def candidate_spaces(self) -> list:
-        out = []
-        group = self.scenario.group
-        for pos, cand in enumerate(self.scenario.extensions):
-            perms = [cand["action"][letters_to_str((x,))] for x in range(1, group.rank + 1)]
-            space = FiniteSpace.make(group, cand["size"], perms)
-            n = self.table.size
-            if not all(is_int(v) and 1 <= v <= n for v in cand["projection"]):
-                raise ScenarioError(
-                    f"extensions[{pos}].projection: values must lie in 1..{n}"
-                )
-            out.append(
-                {"name": cand["name"], "space": space,
-                 "projection": tuple(cand["projection"])}
-            )
-        return out
-
-
-# -- check dispatch -------------------------------------------------------------------
+# -- running a scenario ---------------------------------------------------------------
 
 def _check_fields(scenario: Scenario, spec: dict) -> dict:
     """The integer fields ``KNOWN_CHECKS`` lists for the check, each set to
@@ -268,23 +271,6 @@ def _check_fields(scenario: Scenario, spec: dict) -> dict:
     if spec["check"] == "decompose-fibers":
         wide.update(samples=3, radius=min(3, budgets["ball_radius"]))
     return {key: spec.get(key, wide[key]) for key in KNOWN_CHECKS[spec["check"]][1]}
-
-
-def _run_check(objs: ScenarioObjects, spec: dict) -> CheckReport:
-    name = spec["check"]
-    fields = _check_fields(objs.scenario, spec)
-    if name == "minimal-finite":
-        return check_minimal_finite(objs.table)
-    if name == "minimal-symbolic":
-        return check_minimal_symbolic(objs.induced, **fields)
-    if name == "sp-extension":
-        return check_sp_extension(objs.extension, **fields)
-    if name == "contraction-lifting":
-        return check_contraction_lifting(objs.extension, **fields)
-    if name == "decompose-fibers":
-        return decompose_fibers(objs.extension, **fields)
-    # amenable-size: the last of KNOWN_CHECKS, the only names scenario_from_dict admits
-    return amenable_size_check(objs.table, objs.candidate_spaces())
 
 
 @dataclass
@@ -318,20 +304,20 @@ def run_scenario(scenario: Scenario) -> RunReport:
     """Execute the declared checks in order; deterministic except wall clocks.
 
     A check that exhausts an enumeration budget is reported INCONCLUSIVE,
-    with the seed it would have drawn from, rather than aborting the run.
+    with the fields it would have run with, rather than aborting the run.
     """
-    objs = ScenarioObjects(scenario)
     entries = []
     for pos, spec in enumerate(scenario.checks, start=1):
         started = time.perf_counter()
+        fields = _check_fields(scenario, spec)
         try:
-            report = _run_check(objs, spec)
+            report = KNOWN_CHECKS[spec["check"]][3](scenario, fields)
         except BudgetExceededError as exc:
             report = CheckReport(
                 check=spec["check"],
                 verdict="INCONCLUSIVE",
-                parameters=dict(spec),
-                seed=_check_fields(scenario, spec).get("seed"),
+                parameters={key: val for key, val in fields.items() if key != "seed"},
+                seed=fields.get("seed"),
                 evidence=[{"budget_exceeded": str(exc)}],
                 truncation={"budgets": scenario.budgets},
             )
@@ -359,7 +345,8 @@ def report_json_text(report: RunReport, include_timing: bool = True) -> str:
 def replay_certificate(report_data: dict, check_id: str, cert_index: int):
     """Re-verify one stored certificate using only the serialized report.
 
-    Rebuilds the scenario objects from the report's scenario echo, restores
+    Rebuilds the scenario and its induced space from the report's scenario
+    echo (an error there is named under ``scenario.``), restores
     the measure and certificate, replays the steps, and compares against the
     stored claim.  Returns (verdict, detail).
 
@@ -372,9 +359,10 @@ def replay_certificate(report_data: dict, check_id: str, cert_index: int):
     _require(isinstance(entries, list)
              and all(isinstance(e, dict) and isinstance(e.get("id"), str) for e in entries),
              "checks", "must be a list of objects with a string 'id'")
-    scenario = scenario_from_dict(report_data["scenario"])
-    _require(isinstance(scenario.group, FreeGroup), "scenario.group.kind",
-             "certificates replay on induced spaces, which need a free group")
+    try:
+        space = scenario_from_dict(report_data["scenario"]).induced
+    except (ScenarioError, BudgetExceededError) as exc:
+        raise ScenarioError(f"scenario.{exc}") from exc
     matches = [e for e in entries if e["id"] == check_id]
     if not matches:
         matches = [e for e in entries if e["id"].partition("-")[2] == check_id]
@@ -393,7 +381,6 @@ def replay_certificate(report_data: dict, check_id: str, cert_index: int):
     item = evidence[cert_index]
     if not isinstance(item, dict) or item.get("certificate") is None:
         raise ScenarioError(f"checks[{check_id}].evidence[{cert_index}]: carries no certificate")
-    space = ScenarioObjects(scenario).induced
     nu = measure_from_json(space, item.get("measure"))
     cert = ContractionCertificate.from_json(space, item["certificate"])
     ok, detail, _ = replay_steps(nu, cert)

@@ -42,6 +42,8 @@ TAMPERED = ("tests/test_scenario_cli.py::test_cli_tampered_input_exits_2",)
 STABILIZER = ("tests/test_checks.py::"
               "test_decompose_fibers_reads_a_wrong_stabilizer_as_a_mismatch",)
 FORWARD = ("tests/test_scenario_cli.py::test_run_check_forwards_every_field_under_its_own_name",)
+FALLBACK = ("tests/test_scenario_cli.py::test_deep_cylinders_are_inconclusive_before_enumeration",)
+LAZY = ("tests/test_scenario_cli.py::test_scenario_objects_lazy_build",)
 FOLD = ("tests/test_cosets.py::test_fold_cases_match_merge_oracle",
         "tests/test_cosets.py::test_fold_matches_merge_oracle")
 PUSH = ("tests/test_measures.py::test_pushforward_per_coset_matches_four_step_oracle",)
@@ -179,6 +181,17 @@ MUTANTS = (
     Mutant("check fields: the spec value ignored for steps only", FORWARD, (
         ("scenario.py", "spec.get(key, wide[key])",
          'wide[key] if key == "steps" else spec.get(key, wide[key])'),
+    )),
+    Mutant("the budget fallback echoes the raw spec", FALLBACK, (
+        ("scenario.py", 'parameters={key: val for key, val in fields.items() if key != "seed"}',
+         "parameters=dict(spec)"),
+    )),
+    # a scenario builds its table once, and a report names its scenario's errors
+    Mutant("Scenario.table rebuilt on each access", LAZY, (
+        ("scenario.py", "    @cached_property\n    def table", "    @property\n    def table"),
+    )),
+    Mutant("a report's scenario errors are not prefixed", TAMPERED, (
+        ("scenario.py", 'raise ScenarioError(f"scenario.{exc}") from exc', "raise"),
     )),
     # setwise invariance read from the lifts of the fiber basis letters
     Mutant("fibers: invariance read from the first basis letter only", FIBERS, (

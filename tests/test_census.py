@@ -86,6 +86,57 @@ def test_every_check_on_every_census_subgroup(census):
             if k[1].endswith(("sp-extension", "decompose-fibers")) and v != "PASS"] == []
 
 
+def _report_without_scenario(rank: int, gens: list) -> str:
+    """The timing-free report of CENSUS_CHECKS on <gens>, its scenario echo deleted."""
+    scenario = scenario_from_dict({"name": "H", "group": {"kind": "free", "rank": rank},
+                                   "subgroup": [g.to_str() for g in gens], "seed": 7,
+                                   "checks": CENSUS_CHECKS})
+    report = json.loads(report_json_text(run_scenario(scenario), include_timing=False))
+    del report["scenario"]
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_report_depends_only_on_the_subgroup(census, data):
+    # the coset table is H's folded Stallings graph numbered in shortlex
+    # order, and the report is a function of the table, so Nielsen moves on
+    # the listed generators (Lyndon-Schupp I.2) leave its bytes unchanged.
+    # H is a census subgroup or the kernel of F_rank -> Z/n, a -> 1 (n <= 8 in
+    # rank 3, where decompose-fibers takes a second at n = 16).
+    if data.draw(st.booleans()):
+        rank = data.draw(st.sampled_from([2, 3]))
+        gens = data.draw(st.sampled_from(census[rank])).subgroup.generators
+    else:
+        rank = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(1, 16 if rank == 2 else 8))
+        shifts = [1] + [data.draw(st.integers(0, n - 1)) for _ in range(rank - 1)]
+        space = FiniteSpace.make(FreeGroup(rank), n,
+                                 [[(p + k) % n + 1 for p in range(n)] for k in shifts])
+        gens = stabilizer_subgroup(space, 1).generators
+    # moves act on a basis of H; each added product of two of its members is
+    # redundant whatever later moves do, so it may be dropped at any time
+    basis, extra = list(gens), []
+    moves = st.sampled_from(["permute", "invert", "multiply", "add", "drop"])
+    for move in data.draw(st.lists(moves, min_size=1, max_size=6)):
+        if move == "drop" and extra:
+            extra.pop(data.draw(st.integers(0, len(extra) - 1)))
+        elif move == "permute":
+            basis = data.draw(st.permutations(basis))
+        elif move == "invert":
+            k = data.draw(st.integers(0, len(basis) - 1))
+            basis[k] = basis[k].inverse()
+        elif move in ("multiply", "add"):
+            i, j = data.draw(st.lists(st.integers(0, len(basis) - 1), min_size=2, max_size=2,
+                                      unique=True))
+            if move == "multiply":
+                basis[i] = basis[i] * basis[j]
+            else:
+                extra.append(basis[i] * basis[j])
+    rewritten = data.draw(st.permutations(basis + extra))
+    assert _report_without_scenario(rank, rewritten) == _report_without_scenario(rank, gens)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_membership_rule_matches_table_equality(census, data):

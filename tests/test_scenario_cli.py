@@ -9,7 +9,6 @@ from boundarylab.cli import main
 from boundarylab.scenario import (
     KNOWN_CHECKS,
     ScenarioError,
-    ScenarioObjects,
     bundled_scenario_names,
     load_bundled_scenario,
     replay_certificate,
@@ -133,6 +132,7 @@ def test_budget_exceeded_surfaces_as_inconclusive(capsys):
         assert report.seed is None
         if budgets:
             assert report.evidence[0]["budget_exceeded"].startswith("budgets.max_cosets: ")
+            assert report.parameters == {}
 
 
 ENGINES = {"minimal-symbolic": "check_minimal_symbolic", "sp-extension": "check_sp_extension",
@@ -178,13 +178,34 @@ def test_deep_cylinders_are_inconclusive_before_enumeration():
     for entry in report.checks:
         assert entry["report"].verdict == "INCONCLUSIVE"
         assert "cylinders exceed cap" in entry["report"].evidence[0]["budget_exceeded"]
+        assert entry["report"].seed == 99
+    # the fields each check would have run with, under the scenario's names
+    assert [entry["report"].parameters for entry in report.checks] == [
+        {"depth": 40, "radius": 3, "samples": 1},
+        {"depth": 40, "max_atoms": 5, "radius": 3, "samples": 2, "steps": 32,
+         "target_depth": 8},
+        {"depth": 40, "radius": 3, "samples": 3},
+    ]
 
 
-def test_scenario_objects_lazy_build():
-    objs = ScenarioObjects(scenario_from_dict(SMALL_SCENARIO))
-    assert objs.table.size == 2
-    assert objs.basis.rank == 3
-    assert objs.induced.size == 2
+def test_scenario_objects_lazy_build(monkeypatch):
+    scenario = scenario_from_dict(SMALL_SCENARIO)
+    assert scenario.table.size == 2
+    assert scenario.basis.rank == 3
+    assert scenario.induced.size == 2
+    # one enumeration and one basis per run, shared by all its checks; a
+    # permutation group builds no basis
+    calls = dict.fromkeys(("enumerate_cosets", "schreier_basis"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _engine=getattr(scenario_module, name), **kwargs):
+            calls[_name] += 1
+            return _engine(*args, **kwargs)
+        monkeypatch.setattr(scenario_module, name, counted)
+    run_scenario(load_bundled_scenario("f2-index2"))
+    assert calls == {"enumerate_cosets": 1, "schreier_basis": 1}
+    calls.update(enumerate_cosets=0, schreier_basis=0)
+    run_scenario(load_bundled_scenario("s3-amenable"))
+    assert calls == {"enumerate_cosets": 1, "schreier_basis": 0}
 
 
 # -- CLI ------------------------------------------------------------------------------
@@ -344,6 +365,12 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
     ("replay", _tamper_certificate("steps", 3), "steps"),
     ("replay", _tamper_certificate("measure", "(2, |a)"), "measure"),
     ("replay", _tamper_certificate("achieved_depth", "8"), "achieved_depth"),
+    ("replay", lambda r: {**r, "scenario": {k: v for k, v in r["scenario"].items()
+                                            if k != "seed"}}, "error: scenario.seed: missing"),
+    ("replay", lambda r: {**r, "scenario": {**r["scenario"], "subgroup": ["a"]}},
+     "error: scenario.subgroup: "),
+    ("replay", lambda r: {**r, "scenario": {**r["scenario"], "budgets": {
+        **r["scenario"]["budgets"], "max_cosets": 1}}}, "error: scenario.budgets.max_cosets: "),
     ("contract", lambda _: ATOMS, "measure"),
     ("contract", lambda _: {"space": "induced"}, "atoms"),
     ("contract", lambda _: {"atoms": [{"point": "(2, |a)"}]}, "measure"),
@@ -390,7 +417,8 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
     ("replay", _tamper_certificate("limit_coset", None),
      "error: certificate.limit_coset: must be a coset in 1..2"),
 ], ids=["report-list", "no-scenario", "no-checks", "int-steps", "str-measure",
-        "str-achieved-depth", "bare-atom-list", "no-atoms", "atom-without-weight",
+        "str-achieved-depth", "scenario-without-seed", "scenario-infinite-index",
+        "scenario-index-above-max-cosets", "bare-atom-list", "no-atoms", "atom-without-weight",
         "str-atoms", "coset-above-index", "replay-coset-above-index",
         "replay-negative-coset", "integer-fiber-point", "zero-denominator-weight",
         "induced-letter-above-fiber-rank", "fiber-letter-above-rank",
