@@ -178,12 +178,13 @@ class ContractionCertificate:
         if coset not in (range(1, space.size + 1) if induced else (None,)):
             raise ValueError("certificate.limit_coset: must be "
                              + (f"a coset in 1..{space.size}" if induced else "null"))
-        words = []
+        words: dict = {}  # a certificate repeats few distinct steps; parse each once
         for k, w in enumerate(steps):
-            try:
-                words.append(parse_word(space.ambient, w))
-            except ValueError as exc:
-                raise ValueError(f"certificate.steps[{k}]: {exc}") from exc
+            if w not in words:
+                try:
+                    words[w] = parse_word(space.ambient, w)
+                except ValueError as exc:
+                    raise ValueError(f"certificate.steps[{k}]: {exc}") from exc
         try:
             cylinder = letters_from_str(data["limit_cylinder"])
             reduced = word(space.fiber.ambient if induced else space.ambient, cylinder).letters
@@ -192,7 +193,7 @@ class ContractionCertificate:
         if reduced != cylinder or len(cylinder) != data["achieved_depth"]:
             raise ValueError("certificate.limit_cylinder: must be a reduced word of length "
                              "achieved_depth")
-        return cls(tuple(words), data["achieved_depth"], coset, cylinder)
+        return cls(tuple(words[w] for w in steps), data["achieved_depth"], coset, cylinder)
 
 
 def replay(nu: AtomicMeasure, cert: ContractionCertificate):

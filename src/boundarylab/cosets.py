@@ -28,6 +28,7 @@ Conventions (used consistently across the package):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .words import (
     BudgetExceededError,
@@ -339,6 +340,11 @@ class SchreierBasis:
     steps: dict = field(repr=False)
 
     def free_group(self) -> FreeGroup:
+        return self._free_group
+
+    @cached_property
+    def _free_group(self) -> FreeGroup:
+        # one per basis: every rewrite builds a Word over it
         return FreeGroup(self.rank)
 
 

@@ -45,22 +45,32 @@ class AtomicMeasure:
 
 
 def atomic_measure(space, pairs) -> AtomicMeasure:
-    """Merge duplicate atoms, validate total mass, and sort canonically."""
-    merged: dict = {}
+    """Validate the weights and their total mass, then merge and sort as
+    :func:`_merged` does."""
+    checked = []
     for p, w in pairs:
         if not isinstance(w, Fraction):
             w = Fraction(w)
         if w <= 0:
             raise ValueError("atom weights must be positive")
-        merged[p] = merged.get(p, 0) + w
-    if not merged:
+        checked.append((p, w))
+    if not checked:
         raise ValueError("a probability measure needs at least one atom")
-    total = sum(merged.values())
+    total = sum(w for _, w in checked)
     if total != 1:
         raise ValueError(f"atom weights sum to {total}, not 1")
+    return _merged(space, checked)
+
+
+def _merged(space, pairs) -> AtomicMeasure:
+    """The measure of (point, positive Fraction) pairs of total mass 1, taken
+    as valid: coincident points merge by adding weights, and the atoms sort
+    canonically."""
+    merged: dict = {}
+    for p, w in pairs:
+        merged[p] = merged.get(p, 0) + w
     # points order themselves; an induced (i, y) sorts by coset first
-    atoms = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
-    return AtomicMeasure(space, atoms)
+    return AtomicMeasure(space, tuple(sorted(merged.items(), key=lambda kv: kv[0])))
 
 
 def dirac(space, p) -> AtomicMeasure:
@@ -74,15 +84,16 @@ def pushforward_group(gamma: Word, nu: AtomicMeasure) -> AtomicMeasure:
     ``(j, beta(gamma, i))``, so gamma is rewritten once per run of atoms in
     one coset (atoms sort by coset first) and each fiber point moves by beta
     through the fiber's action, as :meth:`InducedSpace.act` moves one point.
+    The image of a valid measure is valid, so its weights are not re-checked.
     """
     space = nu.space
     if not isinstance(space, InducedSpace):
-        return atomic_measure(space, [(space.act(gamma, p), w) for p, w in nu.atoms])
+        return _merged(space, [(space.act(gamma, p), w) for p, w in nu.atoms])
     fiber, pairs = space.fiber, []
     for i, atoms in groupby(nu.atoms, key=lambda atom: atom[0][0]):
         j, beta = rewrite_in_basis(space.table, space.basis, gamma, i)
         pairs.extend(((j, fiber.act(beta, y)), w) for (_, y), w in atoms)
-    return atomic_measure(space, pairs)
+    return _merged(space, pairs)
 
 
 def pushforward_map(phi: ExtensionMap, nu: AtomicMeasure) -> AtomicMeasure:

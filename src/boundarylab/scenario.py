@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from . import __version__
@@ -342,13 +342,23 @@ def report_json_text(report: RunReport, include_timing: bool = True) -> str:
 
 # -- certificate replay from a serialized report ---------------------------------------
 
+@lru_cache(maxsize=1)
+def _echo_space(echo: str) -> InducedSpace:
+    """The induced space of the scenario whose canonical JSON text is ``echo``.
+    The last one built is kept, so the certificates of one report share it."""
+    return scenario_from_dict(json.loads(echo)).induced
+
+
 def replay_certificate(report_data: dict, check_id: str, cert_index: int):
     """Re-verify one stored certificate using only the serialized report.
 
-    Rebuilds the scenario and its induced space from the report's scenario
-    echo (an error there is named under ``scenario.``), restores
-    the measure and certificate, replays the steps, and compares against the
-    stored claim.  Returns (verdict, detail).
+    Builds the scenario's induced space from the report's scenario echo (an
+    error there is named under ``scenario.``), restores the measure and
+    certificate, replays the steps, and compares against the stored claim.
+    Returns (verdict, detail).  The space of the last echo is kept, keyed on
+    the echo's canonical JSON text, so replaying many certificates of one
+    report builds its coset table and induced space once; an edited echo is
+    a new key and is built afresh.
 
     ``check_id`` is a full id such as ``03-sp-extension``, or the part after
     the ``NN-`` prefix when exactly one check in the report has it.
@@ -360,7 +370,11 @@ def replay_certificate(report_data: dict, check_id: str, cert_index: int):
              and all(isinstance(e, dict) and isinstance(e.get("id"), str) for e in entries),
              "checks", "must be a list of objects with a string 'id'")
     try:
-        space = scenario_from_dict(report_data["scenario"]).induced
+        echo = json.dumps(report_data["scenario"], sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"scenario: must be JSON data ({exc})") from exc
+    try:
+        space = _echo_space(echo)
     except (ScenarioError, BudgetExceededError) as exc:
         raise ScenarioError(f"scenario.{exc}") from exc
     matches = [e for e in entries if e["id"] == check_id]

@@ -47,6 +47,8 @@ LAZY = ("tests/test_scenario_cli.py::test_scenario_objects_lazy_build",)
 FOLD = ("tests/test_cosets.py::test_fold_cases_match_merge_oracle",
         "tests/test_cosets.py::test_fold_matches_merge_oracle")
 PUSH = ("tests/test_measures.py::test_pushforward_per_coset_matches_four_step_oracle",)
+IMAGE = ("tests/test_measures.py::test_push_image_matches_the_validating_constructor",)
+ECHO = ("tests/test_scenario_cli.py::test_replay_rebuilds_an_edited_echo",)
 RUNS = ("tests/test_checks.py::test_certificate_element_matches_flat_reduction",)
 AXIS = ("tests/test_checks.py::test_axis_power_search_matches_stepwise_oracle",)
 
@@ -146,6 +148,10 @@ MUTANTS = (
         ("measures.py", "rewrite_in_basis(space.table, space.basis, gamma, i)",
          "rewrite_in_basis(space.table, space.basis, gamma, nu.atoms[0][0][0])"),
     )),
+    Mutant("push image: atoms left unsorted", IMAGE, (
+        ("measures.py", "tuple(sorted(merged.items(), key=lambda kv: kv[0]))",
+         "tuple(merged.items())"),
+    )),
     Mutant("runs: power taken without the cyclic-core strip", RUNS, (
         ("checks.py", "w[:c] + w[c:len(w) - c] * k + w[len(w) - c:]", "w * k"),
     )),
@@ -186,9 +192,22 @@ MUTANTS = (
         ("scenario.py", 'parameters={key: val for key, val in fields.items() if key != "seed"}',
          "parameters=dict(spec)"),
     )),
-    # a scenario builds its table once, and a report names its scenario's errors
+    # a scenario builds its table once, a report's replays share one build of
+    # its echo, and a report names its scenario's errors
     Mutant("Scenario.table rebuilt on each access", LAZY, (
         ("scenario.py", "    @cached_property\n    def table", "    @property\n    def table"),
+    )),
+    Mutant("replay memo ignores the scenario echo", ECHO, (
+        ("scenario.py", "@lru_cache(maxsize=1)\ndef _echo_space(",
+         "def _first_build(build):\n"
+         "    kept = []\n\n"
+         "    def get(echo):\n"
+         "        if not kept:\n"
+         "            kept.append(build(echo))\n"
+         "        return kept[0]\n\n"
+         "    get.cache_clear = kept.clear\n"
+         "    return get\n\n\n"
+         "@_first_build\ndef _echo_space("),
     )),
     Mutant("a report's scenario errors are not prefixed", TAMPERED, (
         ("scenario.py", 'raise ScenarioError(f"scenario.{exc}") from exc', "raise"),

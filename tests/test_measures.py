@@ -158,6 +158,31 @@ def test_pushforward_per_coset_matches_four_step_oracle(walk_spaces, space_pos, 
         assert pushforward_group(gamma, nu) == expected
 
 
+@given(induced=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_push_image_matches_the_validating_constructor(induced, seed):
+    # the push builds its image without re-checking the weights; the checking
+    # constructor on the pointwise images gives the same atoms, tuple for
+    # tuple, in strictly increasing point order
+    rng = random.Random(seed)
+    space = random_induced_space(rng, 8) if induced else BoundarySpace(rng.randint(2, 3))
+    rank = space.fiber.rank if induced else space.rank
+
+    def point():
+        y = walk_point(rng, rank, rng.randint(0, 8))
+        return (rng.randint(1, space.size), y) if induced else y
+
+    pts = list(dict.fromkeys(point() for _ in range(rng.randint(1, 8))))
+    raw = [rng.randint(1, 9) for _ in pts]
+    nu = atomic_measure(space, [(p, Fraction(k, sum(raw))) for p, k in zip(pts, raw)])
+    for _ in range(3):
+        gamma = Word(space.ambient, random_walk_letters(rng, space.ambient.rank, 12))
+        image = pushforward_group(gamma, nu)
+        expected = atomic_measure(space, [(space.act(gamma, p), w) for p, w in nu.atoms])
+        assert image.space == space and image.atoms == expected.atoms
+        support = image.support()
+        assert all(p < q for p, q in zip(support, support[1:]))
+
+
 def test_pushforward_map_and_fiber_support(index2_induced, index2_phi):
     y1 = boundary_point((), (1,))
     y2 = boundary_point((), (2,))

@@ -110,6 +110,96 @@ def test_replay_certificate_id_must_be_exact_or_unique():
     assert replay_certificate(single, "sp-extension", 0)[0] == "PASS"
 
 
+@pytest.fixture(scope="module")
+def index_reports():
+    """Timing-free report text of the bundled f2-index2 and f2-index3 runs."""
+    return {name: report_json_text(run_scenario(load_bundled_scenario(name)),
+                                   include_timing=False)
+            for name in ("f2-index2", "f2-index3")}
+
+
+def _certificates(data):
+    """(check id, evidence index) of every stored certificate in a report."""
+    return [(entry["id"], k) for entry in data["checks"]
+            for k, item in enumerate(entry["evidence"]) if item.get("certificate")]
+
+
+def _outcome(data, check_id, k):
+    try:
+        return replay_certificate(data, check_id, k)
+    except ScenarioError as exc:
+        return str(exc)
+
+
+def test_replay_memo_matches_a_fresh_build(index_reports):
+    # a fresh build before each call is the oracle; the memo serves runs of one
+    # report, then switches report on every call
+    reports = [json.loads(text) for text in index_reports.values()]
+    one, two = ([(data, *c) for c in _certificates(data)] for data in reports)
+    assert one and two
+    calls = one + two + [c for pair in zip(one, two) for c in pair]
+    want = []
+    for call in calls:
+        scenario_module._echo_space.cache_clear()
+        want.append(replay_certificate(*call))
+    assert all(verdict == "PASS" for verdict, _ in want)
+    scenario_module._echo_space.cache_clear()
+    assert [replay_certificate(*call) for call in calls] == want
+
+
+def test_replay_builds_a_report_once(index_reports, monkeypatch):
+    data = json.loads(index_reports["f2-index2"])
+    calls = []
+    engine = scenario_module.enumerate_cosets
+    monkeypatch.setattr(scenario_module, "enumerate_cosets",
+                        lambda *args, **kwargs: calls.append(1) or engine(*args, **kwargs))
+    scenario_module._echo_space.cache_clear()
+    certificates = _certificates(data)
+    assert len(certificates) > 1
+    assert all(replay_certificate(data, *c)[0] == "PASS" for c in certificates)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("edit", [{"budgets": {"max_cosets": 1}},
+                                  {"subgroup": ["aaa", "b", "abA", "aabAA"]}])
+def test_replay_rebuilds_an_edited_echo(index_reports, edit):
+    # after a replay of the report as stored, a replay of the edited report
+    # gives what a fresh build of the edit gives, and some of it differs
+    data = json.loads(index_reports["f2-index2"])
+    echo = data["scenario"]
+    edited = {**data, "scenario": {**echo, **{
+        key: {**echo[key], **val} if isinstance(val, dict) else val
+        for key, val in edit.items()}}}
+    differs = []
+    for check_id, k in _certificates(data)[:5]:
+        before = replay_certificate(data, check_id, k)
+        got = _outcome(edited, check_id, k)
+        scenario_module._echo_space.cache_clear()
+        assert got == _outcome(edited, check_id, k)
+        differs.append(got != before)
+    assert any(differs)
+
+
+def test_replay_never_caches_a_malformed_echo(index_reports):
+    data = json.loads(index_reports["f2-index2"])
+    check_id, k = _certificates(data)[0]
+    good = replay_certificate(data, check_id, k)
+    bad = {**data, "scenario": {key: val for key, val in data["scenario"].items()
+                                if key != "seed"}}
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match=r"^scenario\.seed: "):
+            replay_certificate(bad, check_id, k)
+    assert replay_certificate(data, check_id, k) == good
+
+
+@pytest.mark.parametrize("echo", [{"seed": {1, 2}}, {1: "one", "name": "x"}])
+def test_replay_names_an_echo_that_is_not_json(echo):
+    data = json.loads(report_json_text(run_scenario(scenario_from_dict(SMALL_SCENARIO))))
+    data["scenario"] = {**data["scenario"], **echo}
+    with pytest.raises(ScenarioError, match=r"^scenario: "):
+        replay_certificate(data, "02-sp-extension", 0)
+
+
 def test_budget_exceeded_surfaces_as_inconclusive(capsys):
     scenario = scenario_from_dict({
         **SMALL_SCENARIO,
