@@ -9,8 +9,6 @@ from .words import (
     PermutationGroup,
     Word,
     ball,
-    generator,
-    identity,
     parse_word,
     permutation_of,
     word,
@@ -46,8 +44,6 @@ from .measures import (
     AtomicMeasure,
     CylinderFunction,
     atomic_measure,
-    dirac,
-    is_fiber_supported,
     isometry_defect,
     poisson_transform,
     pushforward_group,

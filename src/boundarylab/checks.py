@@ -24,7 +24,6 @@ from .cosets import InfiniteIndexError, enumerate_cosets
 from .measures import (
     AtomicMeasure,
     atomic_measure,
-    is_fiber_supported,
     measure_to_json,
     point_to_json,
     pushforward_group,
@@ -55,6 +54,7 @@ from .words import (
     letters_to_str,
     parse_word,
     reduce_letters,
+    reduced_layers,
     shortlex_bfs,
     word,
 )
@@ -293,16 +293,10 @@ def _axis_power_steps(points, rank: int, target: int, budget: int):
     pts = list(points)
     steps: list[Word] = []
     if any(p == repelling for p in pts):
-        perturb = None
-        for radius in (1, 2, 3):
-            for cand in cached_ball(ctx, radius):
-                if cand.is_identity:
-                    continue
-                if all(boundary_act(cand.letters, p) != repelling for p in pts):
-                    perturb = cand
-                    break
-            if perturb is not None:
-                break
+        # the first word of the radius-3 ball in shortlex order; layers are
+        # built only as far as the search reaches
+        perturb = next((Word(ctx, ls) for layer in reduced_layers(ctx, 3) for ls in layer
+                        if ls and all(boundary_act(ls, p) != repelling for p in pts)), None)
         if perturb is None:
             return None
         steps.append(perturb)
@@ -678,6 +672,8 @@ def check_sp_extension(phi: ExtensionMap, max_atoms: int, samples: int, seed: in
     ``steps`` steps (INCONCLUSIVE when a search exhausts them).  A finite
     extension is decided by :func:`check_finite_extension`.
     """
+    if max_atoms < 1 or samples < 1:
+        raise ValueError("max_atoms and samples >= 1 required")
     evidence = []
     failed = inconclusive = False
     for idx in range(samples):
@@ -717,6 +713,8 @@ def check_contraction_lifting(phi: ExtensionMap, max_atoms: int, samples: int, s
     (``LIFTING_COVERAGE_SAMPLES`` starts), and the finite base must be minimal
     to begin with.
     """
+    if depth < 0 or radius < 0 or max_atoms < 1 or samples < 1:
+        raise ValueError("depth, radius >= 0 and max_atoms, samples >= 1 required")
     base_report = check_minimal_finite(phi.target)
     if base_report.verdict != PASS:
         return CheckReport(
@@ -734,35 +732,29 @@ def check_contraction_lifting(phi: ExtensionMap, max_atoms: int, samples: int, s
     evidence = []
     failed = budget_hit = False
     for idx in range(samples):
-        if idx % 2 == 0 or space.size < 2:
+        fiber = idx % 2 == 0 or space.size < 2
+        if fiber:
             _, nu = _fiber_sample(space, idx, seed, max_atoms)
-            down = pushforward_map(phi, nu)
-            entry = {
-                "sample": idx,
-                "kind": "fiber-supported",
-                "pushforward_dirac": down.is_dirac,
-                "measure": measure_to_json(nu),
-            }
-            if not down.is_dirac:
-                failed = True
-                entry["violation"] = "fiber-supported sample has non-Dirac push-forward"
-            else:
-                ok, _ = _certify(entry, nu, target_depth, steps)
-                budget_hit = budget_hit or ok is None
-                failed = failed or ok is False
         else:
             nu = sample_spread_measure(space, random.Random(seed ^ idx), max_atoms)
-            fib = is_fiber_supported(phi, nu)
-            entry = {
-                "sample": idx,
-                "kind": "spread",
-                "pushforward_dirac": fib is not None,
-                "note": "no contraction obligation",
-                "measure": measure_to_json(nu),
-            }
-            if fib is not None:
-                failed = True
-                entry["violation"] = "spread sample unexpectedly fiber-supported"
+        # nu lies in one fiber exactly when its push-forward is a point mass
+        dirac = pushforward_map(phi, nu).is_dirac
+        entry = {
+            "sample": idx,
+            "kind": "fiber-supported" if fiber else "spread",
+            "pushforward_dirac": dirac,
+            "measure": measure_to_json(nu),
+        }
+        if not fiber:
+            entry["note"] = "no contraction obligation"
+        if dirac != fiber:
+            failed = True
+            entry["violation"] = ("fiber-supported sample has non-Dirac push-forward" if fiber
+                                  else "spread sample unexpectedly fiber-supported")
+        elif fiber:
+            ok, _ = _certify(entry, nu, target_depth, steps)
+            budget_hit = budget_hit or ok is None
+            failed = failed or ok is False
         evidence.append(entry)
     return CheckReport(
         check="contraction-lifting",
@@ -791,8 +783,9 @@ def decompose_fibers(phi: ExtensionMap, radius: int, depth: int, samples: int,
     generators) must equal t_i H t_i^-1, read as membership both ways in the
     two coset tables (so its index is n); translation by t_j t_i^-1 must
     carry fiber i to fiber j; stabilizer elements must fix the fiber
-    setwise; and ball words of the conjugated subgroup must cover the
-    depth-d fiber cylinders from sampled starts.
+    setwise; and the lifts of the fiber's radius-R ball (at most
+    ``COVERAGE_BALL_CAP`` words) must cover the depth-d fiber cylinders from
+    sampled starts.
     The coset of g.(i, y) is the coset of g t_i whatever y is, so transport
     and setwise invariance are read once each, at one fixed fiber point.
     Invariance is read from the lifts of the fiber's basis letters: lifting
@@ -801,6 +794,8 @@ def decompose_fibers(phi: ExtensionMap, radius: int, depth: int, samples: int,
     """
     if not isinstance(phi.source, InducedSpace):
         raise ValueError("fiber decomposition expects an induced source")
+    if depth < 0 or radius < 0 or samples < 1:
+        raise ValueError("depth, radius >= 0 and samples >= 1 required")
     base = phi.target
     if not base.is_transitive():
         raise ValueError("base space is not minimal")
@@ -811,6 +806,7 @@ def decompose_fibers(phi: ExtensionMap, radius: int, depth: int, samples: int,
     rank = space.fiber.rank
     fiber_ctx = FreeGroup(rank)
     cyls = set(space.fiber.cylinders(depth, COVERAGE_BALL_CAP))
+    ballwords = cached_ball(fiber_ctx, radius, COVERAGE_BALL_CAP)
     y0 = boundary_point((), (1,))
     evidence = []
     all_ok = True
@@ -834,7 +830,7 @@ def decompose_fibers(phi: ExtensionMap, radius: int, depth: int, samples: int,
 
         rng = random.Random(seed ^ i)
         hit = set()
-        movers = [space.lift(i, w) for w in cached_ball(fiber_ctx, radius)]
+        movers = [space.lift(i, w) for w in ballwords]
         for _ in range(samples):
             y = sample_boundary_point(rng, rank)
             for mover in movers:

@@ -339,11 +339,8 @@ class SchreierBasis:
     generators: tuple[Word, ...]
     steps: dict = field(repr=False)
 
-    def free_group(self) -> FreeGroup:
-        return self._free_group
-
     @cached_property
-    def _free_group(self) -> FreeGroup:
+    def free_group(self) -> FreeGroup:
         # one per basis: every rewrite builds a Word over it
         return FreeGroup(self.rank)
 
@@ -395,12 +392,12 @@ def rewrite_in_basis(table: CosetTable, basis: SchreierBasis, gamma: Word,
         i, b = steps[l][i - 1]
         if b:
             out.append(b)
-    return i, Word(basis.free_group(), tuple(out[::-1]))
+    return i, Word(basis.free_group, tuple(out[::-1]))
 
 
 def eval_in_ambient(basis: SchreierBasis, w: Word) -> Word:
     """Substitute basis words for basis letters; inverse of rewriting."""
-    if w.ctx != basis.free_group():
+    if w.ctx != basis.free_group:
         raise ValueError("word is not over the basis free group")
     out: list[int] = []
     for l in w.letters:

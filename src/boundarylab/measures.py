@@ -73,10 +73,6 @@ def _merged(space, pairs) -> AtomicMeasure:
     return AtomicMeasure(space, tuple(sorted(merged.items(), key=lambda kv: kv[0])))
 
 
-def dirac(space, p) -> AtomicMeasure:
-    return AtomicMeasure(space, ((p, Fraction(1)),))
-
-
 def pushforward_group(gamma: Word, nu: AtomicMeasure) -> AtomicMeasure:
     """Image measure under the action of a group element (mass preserved).
 
@@ -101,18 +97,6 @@ def pushforward_map(phi: ExtensionMap, nu: AtomicMeasure) -> AtomicMeasure:
     if nu.space is not phi.source and nu.space != phi.source:
         raise ValueError("measure does not live on the extension's source")
     return atomic_measure(phi.target, [(phi.apply(p), w) for p, w in nu.atoms])
-
-
-def is_fiber_supported(phi: ExtensionMap, nu: AtomicMeasure) -> Optional[int]:
-    """The base point whose fiber carries nu, if there is one.
-
-    Equivalent to the push-forward being a point mass; both the support
-    criterion and the push-forward criterion are the same computation here.
-    """
-    down = pushforward_map(phi, nu)
-    if down.is_dirac:
-        return down.atoms[0][0]
-    return None
 
 
 # -- cylinder functions ----------------------------------------------------------

@@ -84,6 +84,12 @@ def _require(cond: bool, fieldname: str, message: str) -> None:
         raise ScenarioError(f"{fieldname}: {message}")
 
 
+def _known_fields(data: dict, prefix: str, known) -> None:
+    """Refuse a key of ``data`` that ``known`` does not list, named as ``prefix + key``."""
+    for key in data:
+        _require(key in known, f"{prefix}{key}", f"unknown field; known: {', '.join(known)}")
+
+
 @dataclass
 class Scenario:
     """A validated scenario file and the spaces its checks share: the coset
@@ -145,6 +151,8 @@ class Scenario:
 
 def scenario_from_dict(data: dict) -> Scenario:
     _require(isinstance(data, dict), "<root>", "scenario must be a JSON object")
+    _known_fields(data, "", ("name", "seed", "group", "subgroup", "depths", "budgets", "checks",
+                             "extensions"))
     _require(isinstance(data.get("name"), str), "name", "must be a string")
     _require("seed" in data, "seed", "missing (no implicit randomness)")
     _require(is_int(data["seed"]), "seed", "must be an integer")
@@ -153,10 +161,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     _require(isinstance(gspec, dict), "group", "must be an object")
     kind = gspec.get("kind")
     if kind == "free":
+        _known_fields(gspec, "group.", ("kind", "rank"))
         _require(is_int(gspec.get("rank")) and gspec["rank"] >= 1,
                  "group.rank", "must be an integer >= 1")
         group = FreeGroup(gspec["rank"])
     elif kind == "permutation":
+        _known_fields(gspec, "group.", ("kind", "degree", "generators"))
         _require(is_int(gspec.get("degree")) and gspec["degree"] >= 1,
                  "group.degree", "must be an integer >= 1")
         gens = gspec.get("generators")
@@ -184,9 +194,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     for fieldname, defaults in (("depths", _DEPTH_DEFAULTS), ("budgets", _BUDGET_DEFAULTS)):
         given = data.get(fieldname, {})
         _require(isinstance(given, dict), fieldname, "must be an object")
+        _known_fields(given, f"{fieldname}.", defaults)
         for key, val in given.items():
-            _require(key in defaults, f"{fieldname}.{key}",
-                     f"unknown field; known: {', '.join(defaults)}")
             low = 1 if key in _POSITIVE else 0
             _require(is_int(val) and val >= low, f"{fieldname}.{key}",
                      f"must be an integer >= {low}")
@@ -221,10 +230,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     _require(isinstance(extensions, list), "extensions", "must be a list")
     _require(not extensions or any(c["check"] == "amenable-size" for c in checks),
              "extensions", "no check of this scenario reads them; only 'amenable-size' does")
+    letters = [letters_to_str((x,)) for x in range(1, group.rank + 1)]
     for pos, e in enumerate(extensions):
         for fieldname in ("name", "size", "action", "projection"):
             _require(isinstance(e, dict) and fieldname in e,
                      f"extensions[{pos}].{fieldname}", "missing")
+        _known_fields(e, f"extensions[{pos}].", ("name", "size", "action", "projection"))
         _require(isinstance(e["name"], str), f"extensions[{pos}].name", "must be a string")
         _require(is_int(e["size"]) and e["size"] >= 1, f"extensions[{pos}].size",
                  "must be an integer >= 1")
@@ -232,7 +243,8 @@ def scenario_from_dict(data: dict) -> Scenario:
                  f"extensions[{pos}].projection", "must be a list of length size")
         _require(isinstance(e["action"], dict), f"extensions[{pos}].action",
                  "must be an object with one permutation per generator letter")
-        for key in (letters_to_str((x,)) for x in range(1, group.rank + 1)):
+        _known_fields(e["action"], f"extensions[{pos}].action.", letters)
+        for key in letters:
             perm = e["action"].get(key)
             _require(isinstance(perm, list) and all(is_int(v) for v in perm)
                      and sorted(perm) == list(range(1, e["size"] + 1)),

@@ -234,6 +234,8 @@ class BoundarySpace:
         :class:`BudgetExceededError`, before building any, past ``max_size``.
         The count at least triples per letter, so it is compared at a depth
         clamped to ``max_size.bit_length() + 1``, past which it exceeds the cap."""
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
         if _count_cylinders(self.rank, min(depth, max_size.bit_length() + 1)) > max_size:
             raise BudgetExceededError(f"depth-{depth} cylinders exceed cap {max_size}")
         return list(reduced_layers(self.ambient, depth))[-1]

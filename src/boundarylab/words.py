@@ -141,15 +141,6 @@ def word(ctx, letters: Iterable[int]) -> Word:
     return Word(ctx, reduce_letters(letters))
 
 
-def identity(ctx) -> Word:
-    return Word(ctx, ())
-
-
-def generator(ctx, index: int) -> Word:
-    """The index-th generator (1-based) as a one-letter word."""
-    return word(ctx, (index,))
-
-
 def shortlex_bfs(ctx, base, step, max_nodes: Optional[int] = None) -> dict:
     """The shortlex-least reduced word reaching each node from ``base``.
 
@@ -315,6 +306,6 @@ def check_ball_size(ctx: FreeGroup, radius: int, max_size: int) -> None:
 
 
 @lru_cache(maxsize=128)
-def cached_ball(ctx, radius: int, max_size: int = DEFAULT_BALL_CAP) -> tuple[Word, ...]:
+def cached_ball(ctx, radius: int, max_size: int) -> tuple[Word, ...]:
     """Memoized :func:`ball`; contexts are hashable so this is safe to share."""
     return ball(ctx, radius, max_size)

@@ -51,6 +51,10 @@ IMAGE = ("tests/test_measures.py::test_push_image_matches_the_validating_constru
 ECHO = ("tests/test_scenario_cli.py::test_replay_rebuilds_an_edited_echo",)
 RUNS = ("tests/test_checks.py::test_certificate_element_matches_flat_reduction",)
 AXIS = ("tests/test_checks.py::test_axis_power_search_matches_stepwise_oracle",)
+LIFTING = ("tests/test_checks.py::test_contraction_lifting_flags_a_fiber_supported_spread_sample",)
+CAPPED = ("tests/test_checks.py::test_decompose_fibers_caps_its_coverage_ball",)
+SETTINGS = ("tests/test_checks.py::test_engines_refuse_settings_that_check_nothing",)
+CYLINDERS = ("tests/test_words.py::test_ball_sizes_free",)
 
 _ROOT = """    n = len(period)
     for d in _divisors(n):
@@ -215,5 +219,33 @@ MUTANTS = (
     # setwise invariance read from the lifts of the fiber basis letters
     Mutant("fibers: invariance read from the first basis letter only", FIBERS, (
         ("checks.py", "for k in range(1, rank + 1))", "for k in range(1, 2))"),
+    )),
+    # one push-forward answers both halves of contraction-lifting; the
+    # perturbation search builds no more of the ball than it reads
+    Mutant("lifting: a Dirac spread sample not flagged", LIFTING, (
+        ("checks.py", "if dirac != fiber:", "if fiber and not dirac:"),
+    )),
+    Mutant("axis power: perturbation searched in the whole capped radius-3 ball", AXIS, (
+        ("checks.py", "for layer in reduced_layers(ctx, 3) for ls in layer",
+         "for ls in (w.letters for w in cached_ball(ctx, 3, 1_000_000))"),
+    )),
+    # coverage balls are capped, and no engine passes on settings that check nothing
+    Mutant("fibers: coverage ball uncapped", CAPPED, (
+        ("checks.py", "cached_ball(fiber_ctx, radius, COVERAGE_BALL_CAP)",
+         "cached_ball(fiber_ctx, radius, 1_000_000)"),
+    )),
+    Mutant("sp-extension: settings unchecked", SETTINGS, (
+        ("checks.py", '    if max_atoms < 1 or samples < 1:\n'
+                      '        raise ValueError("max_atoms and samples >= 1 required")\n', ""),
+    )),
+    Mutant("contraction-lifting: settings unchecked", SETTINGS, (
+        ("checks.py", "    if depth < 0 or radius < 0 or max_atoms < 1 or samples < 1:\n", "    if False:\n"),
+    )),
+    Mutant("decompose-fibers: settings unchecked", SETTINGS, (
+        ("checks.py", 'induced source")\n    if depth < 0 or radius < 0 or samples < 1:\n',
+         'induced source")\n    if False:\n'),
+    )),
+    Mutant("cylinders: a negative depth accepted", CYLINDERS, (
+        ("spaces.py", "        if depth < 0:\n", "        if False:\n"),
     )),
 )

@@ -30,7 +30,7 @@ from boundarylab.words import (
     FreeGroup,
     Word,
     alphabet,
-    cached_ball,
+    ball,
     reduce_letters,
 )
 
@@ -202,7 +202,7 @@ def per_word_value(nu, f, s):
 
 def per_word_poisson_transform(nu, f, radius):
     """{s: P(f)(s)} over the shortlex ball, one whole-word evaluation per word."""
-    return {s: per_word_value(nu, f, s) for s in cached_ball(nu.space.ambient, radius)}
+    return {s: per_word_value(nu, f, s) for s in ball(nu.space.ambient, radius)}
 
 
 def per_word_defect(nu, f, radius, probes=()):
@@ -212,7 +212,7 @@ def per_word_defect(nu, f, radius, probes=()):
     if norm <= 0:
         raise ValueError("isometry defect needs a function with positive norm")
     best = 0.0
-    for s in list(cached_ball(nu.space.ambient, radius)) + list(probes):
+    for s in list(ball(nu.space.ambient, radius)) + list(probes):
         best = max(best, abs(per_word_value(nu, f, s)))
     return max(0.0, norm - best)
 
@@ -294,7 +294,7 @@ def stepwise_axis_power_steps(points, rank, target, budget):
     if any(p == repelling for p in pts):
         perturb = None
         for radius in (1, 2, 3):
-            for cand in cached_ball(ctx, radius):
+            for cand in ball(ctx, radius):
                 if cand.is_identity:
                     continue
                 if all(boundary_act(cand.letters, p) != repelling for p in pts):

@@ -31,14 +31,10 @@ from boundarylab import (
     check_sp_extension,
     cocycle,
     contract_measure,
-    dirac,
     enumerate_cosets,
     eval_in_ambient,
-    generator,
-    identity,
     induced_extension,
     induced_space,
-    is_fiber_supported,
     parse_word,
     pushforward_map,
     replay,
@@ -61,7 +57,7 @@ from boundarylab.scenario import (
     report_json_text,
     run_scenario,
 )
-from boundarylab.words import cached_ball, letters_from_str
+from boundarylab.words import Word, ball, letters_from_str
 
 F2 = FreeGroup(2)
 
@@ -111,7 +107,7 @@ def test_criterion_01_cocycle_identity_as_stated():
     started = time.perf_counter()
     failures = 0
     total = 0
-    B3 = cached_ball(F2, 3)
+    B3 = ball(F2, 3)
 
     def beta(table, g, i):
         return cocycle(table, g, i).inverse()
@@ -146,7 +142,7 @@ def test_criterion_01_cocycle_identity_swapped_order():
     # The composition law of cocycle(...) = alpha itself: the stated law with
     # the factors swapped, verified exactly on the same ranges (zero tolerance).
     started = time.perf_counter()
-    B3 = cached_ball(F2, 3)
+    B3 = ball(F2, 3)
     checked = 0
     for name in FIXTURE_GENS:
         table = _table(name)
@@ -276,10 +272,10 @@ def test_criterion_03_induced_action_axioms_and_equivariance():
     phi = induced_extension(space)
     base = phi.target
     rng = random.Random(303)
-    B3 = cached_ball(F2, 3)
+    B3 = ball(F2, 3)
     from boundarylab.checks import sample_boundary_point
 
-    e = identity(F2)
+    e = Word(F2, ())
     for _ in range(1000):
         g1, g2 = rng.choice(B3), rng.choice(B3)
         p = (rng.randint(1, table.size), sample_boundary_point(rng, basis.rank))
@@ -302,7 +298,7 @@ def test_criterion_04_rewriting_round_trip_and_rank():
 
     table = _table("index2")
     basis = schreier_basis(table)
-    members = [w for w in cached_ball(F2, 6) if table.coset_of(w) == 1]
+    members = [w for w in ball(F2, 6) if table.coset_of(w) == 1]
     rng = random.Random(404)
     for _ in range(1000):
         lam1, lam2 = rng.choice(members), rng.choice(members)
@@ -443,7 +439,7 @@ def test_criterion_08_support_pushforward_equivalence(s3_space):
         # route 2: the support sits inside a single fiber (computed directly)
         images = {cur_phi.apply(p) for p in nu.support()}
         route2 = next(iter(images)) if len(images) == 1 else None
-        assert route1 == route2 == is_fiber_supported(cur_phi, nu)
+        assert route1 == route2
         checked += 1
     assert _verdict(
         "criterion 8 (supp in one fiber <=> push-forward is Dirac)", True,

@@ -23,9 +23,7 @@ from boundarylab import (
     check_sp_extension,
     contract_measure,
     decompose_fibers,
-    dirac,
     finite_contractible,
-    generator,
     induced_space,
     parse_word,
     pushforward_group,
@@ -46,7 +44,8 @@ from boundarylab.checks import (
     steer_into_cylinder,
 )
 from boundarylab.measures import CylinderFunction, isometry_defect
-from boundarylab.words import Word, cached_ball, reduce_letters, word
+from boundarylab.scenario import load_bundled_scenario, run_scenario
+from boundarylab.words import BudgetExceededError, Word, ball, reduce_letters, word
 from oracles import frozen_fiber_space, stepwise_axis_power_steps, stepwise_push_through
 
 F2 = FreeGroup(2)
@@ -107,7 +106,7 @@ def test_axis_power_two_atoms():
     nu = atomic_measure(Y2, [(A_INF, Fraction(1, 2)), (B_INF, Fraction(1, 2))])
     cert = contract_measure(nu, 10, 64, strategy="axis-power")
     assert cert is not None
-    assert all(s == generator(F2, 1) for s in cert.steps)
+    assert all(s == word(F2, (1,)) for s in cert.steps)
     assert len(cert.steps) == 10
     assert cert.achieved_depth >= 10
     ok, detail, final = replay(nu, cert)
@@ -115,10 +114,10 @@ def test_axis_power_two_atoms():
 
 
 def test_axis_power_dirac_gives_empty_certificate():
-    cert = contract_measure(dirac(Y2, B_INF), 5, 10, strategy="axis-power")
+    cert = contract_measure(atomic_measure(Y2, [(B_INF, 1)]), 5, 10, strategy="axis-power")
     assert cert.steps == ()
     assert cert.achieved_depth == 5
-    assert replay(dirac(Y2, B_INF), cert)[0]
+    assert replay(atomic_measure(Y2, [(B_INF, 1)]), cert)[0]
 
 
 def test_axis_power_perturbs_repelling_atom():
@@ -126,7 +125,7 @@ def test_axis_power_perturbs_repelling_atom():
     nu = atomic_measure(Y2, [(repelling, Fraction(1, 2)), (B_INF, Fraction(1, 2))])
     cert = contract_measure(nu, 8, 64, strategy="axis-power")
     assert cert is not None
-    assert cert.steps[0] != generator(F2, 1)  # leading perturbation step
+    assert cert.steps[0] != word(F2, (1,))  # leading perturbation step
     assert replay(nu, cert)[0]
 
 
@@ -167,13 +166,13 @@ def test_fiber_lift_needs_single_fiber(index2_induced):
 
 
 def test_contract_rejects_finite_space(s3_space):
-    nu = dirac(s3_space, 1)
+    nu = atomic_measure(s3_space, [(1, 1)])
     with pytest.raises(ValueError):
         contract_measure(nu, 5, 10)
 
 
 def test_contract_validates_parameters():
-    nu = dirac(Y2, A_INF)
+    nu = atomic_measure(Y2, [(A_INF, 1)])
     with pytest.raises(ValueError):
         contract_measure(nu, 0, 10)
     with pytest.raises(ValueError):
@@ -194,7 +193,7 @@ def test_disabled_fiber_action_never_contracts(index2_table, index2_basis):
     assert contract_measure(nu, 5, 32) is None
     # no short word concentrates it any further either
     depth, _ = concentration(nu)
-    for w in cached_ball(frozen.ambient, 2):
+    for w in ball(frozen.ambient, 2):
         if not w.is_identity:
             assert concentration(pushforward_group(w, nu))[0] <= depth
 
@@ -216,7 +215,9 @@ def test_tampered_certificate_fails_replay(index2_induced):
 def axis_points(draw):
     """(rank, 1..5 distinct points): ends of the axis a, and points behind
     leading runs of a^-1 (sometimes of a)."""
-    rank = draw(st.sampled_from([2, 3]))
+    # rank 97, the fiber of an index-96 subgroup of F2, has a radius-3 ball
+    # past the default cap, which the perturbation search must not build
+    rank = draw(st.sampled_from([2, 3, 97]))
     alph = [l for i in range(1, rank + 1) for l in (i, -i)]
     pts = []
     for _ in range(draw(st.integers(1, 5))):
@@ -363,7 +364,7 @@ def test_axis_power_search_work_does_not_grow_with_depth(index2_induced, monkeyp
 
 
 def test_finite_contractible_dirac(s3_space):
-    assert finite_contractible(s3_space, dirac(s3_space, 2)).verdict == "PASS"
+    assert finite_contractible(s3_space, atomic_measure(s3_space, [(2, 1)])).verdict == "PASS"
 
 
 def test_finite_contractible_uniform_fails(s3_space):
@@ -448,6 +449,19 @@ def test_contraction_lifting_passes(index2_phi):
             assert not e["pushforward_dirac"]
 
 
+def test_contraction_lifting_flags_a_fiber_supported_spread_sample(index2_phi, monkeypatch):
+    # a spread draw that lands in one fiber has a point-mass push-forward
+    monkeypatch.setattr(boundarylab.checks, "sample_spread_measure",
+                        lambda space, rng, max_atoms: sample_fiber_measure(space, 2, rng, max_atoms))
+    report = check_contraction_lifting(index2_phi, max_atoms=3, samples=2, seed=5,
+                                       target_depth=8, steps=64, depth=1, radius=3)
+    assert report.verdict == "FAIL"
+    spread = report.evidence[1]
+    assert spread["kind"] == "spread" and spread["pushforward_dirac"]
+    assert spread["violation"] == "spread sample unexpectedly fiber-supported"
+    assert "certificate" not in spread
+
+
 def test_contraction_lifting_disabled_fiber_control(index2_table, index2_basis):
     # with the fiber action ablated, the obligations cannot discharge
     from boundarylab.spaces import induced_extension
@@ -465,6 +479,28 @@ def test_contraction_lifting_nonminimal_base_fails(index2_induced):
     report = check_contraction_lifting(phi, max_atoms=5, samples=2, seed=1, target_depth=20,
                                        steps=64, depth=1, radius=4)
     assert report.verdict == "FAIL"
+
+
+CONTRACTION = {"max_atoms": 3, "samples": 2, "seed": 0, "target_depth": 4, "steps": 16}
+LIFTING = {**CONTRACTION, "depth": 1, "radius": 2}
+FIBERS = {"radius": 2, "depth": 1, "samples": 1, "seed": 0}
+
+
+@pytest.mark.parametrize("engine, settings, name, value", [
+    (check_sp_extension, CONTRACTION, "samples", 0),
+    (check_sp_extension, CONTRACTION, "max_atoms", 0),
+    (check_contraction_lifting, LIFTING, "samples", 0),
+    (check_contraction_lifting, LIFTING, "max_atoms", 0),
+    (check_contraction_lifting, LIFTING, "depth", -1),
+    (check_contraction_lifting, LIFTING, "radius", -1),
+    (decompose_fibers, FIBERS, "depth", -1),
+    (decompose_fibers, FIBERS, "radius", -1),
+    (decompose_fibers, FIBERS, "samples", 0),
+])
+def test_engines_refuse_settings_that_check_nothing(index2_phi, engine, settings, name, value):
+    # no sample, no atom or a negative depth would PASS on no evidence
+    with pytest.raises(ValueError, match=f"{name}.* required"):
+        engine(index2_phi, **{**settings, name: value})
 
 
 # -- fiber decomposition -----------------------------------------------------------------
@@ -488,6 +524,17 @@ def test_decompose_fibers_index1(index1_table):
     report = decompose_fibers(phi, radius=2, depth=1, samples=2, seed=2)
     assert report.verdict == "PASS"
     assert len(report.evidence) == 1
+
+
+def test_decompose_fibers_caps_its_coverage_ball(index2_phi):
+    # the rank-3 fiber ball of radius 8 holds 585,937 words, past COVERAGE_BALL_CAP
+    with pytest.raises(BudgetExceededError, match="exceeds cap 200000"):
+        decompose_fibers(index2_phi, radius=8, depth=1, samples=1, seed=0)
+    scenario = load_bundled_scenario("f2-index2")
+    scenario.checks = [{"check": "decompose-fibers", "radius": 8}]
+    report = run_scenario(scenario).checks[0]["report"]
+    assert report.verdict == "INCONCLUSIVE"
+    assert "exceeds cap 200000" in report.evidence[0]["budget_exceeded"]
 
 
 def test_decompose_fibers_requires_induced(s3_space):
@@ -519,7 +566,7 @@ def test_decompose_fibers_reads_invariance_from_every_basis_letter(index2_phi, m
     # sees the last basis letter's lift sent into the other fiber
     space = index2_phi.source
     rank = space.fiber.rank
-    last = generator(FreeGroup(rank), rank)
+    last = word(FreeGroup(rank), (rank,))
     lift = InducedSpace.lift
 
     def misrouted(self, i, w):
@@ -553,7 +600,7 @@ def test_decompose_fibers_reads_a_wrong_stabilizer_as_a_mismatch(index2_phi, mon
     def wrong(space, i):
         gens = stabilizer_subgroup(space, i).generators
         if change == "add":
-            gens += (next(g for g in (generator(F2, 1), generator(F2, 2))
+            gens += (next(g for g in (word(F2, (1,)), word(F2, (2,)))
                           if space.act(g, i) != i),)
         elif change == "drop":
             gens = tuple(g for g in gens if g not in (gens[-1], gens[-1].inverse()))

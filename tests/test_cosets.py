@@ -16,8 +16,6 @@ from boundarylab import (
     cocycle,
     enumerate_cosets,
     eval_in_ambient,
-    generator,
-    identity,
     induced_space,
     parse_word,
     permutation_of,
@@ -245,11 +243,11 @@ def test_table_export_format(index2_table):
 def test_cocycle_identity_element(index2_table, index3_table):
     for table in (index2_table, index3_table):
         for i in range(1, table.size + 1):
-            assert cocycle(table, identity(F2), i).is_identity
+            assert cocycle(table, Word(F2, ()), i).is_identity
 
 
 def test_cocycle_worked_examples(index2_table):
-    a = generator(F2, 1)
+    a = word(F2, (1,))
     assert cocycle(index2_table, a, 1).is_identity
     assert cocycle(index2_table, a, 2) == word(F2, (-1, -1))
 
@@ -298,18 +296,18 @@ def test_cocycle_composition_order(index2_table, index3_table, index1_table, s3_
 
 def test_conjugate_by_identity(index2_table):
     sub = index2_table.subgroup
-    assert conjugate_subgroup(sub, identity(F2)) == sub
+    assert conjugate_subgroup(sub, Word(F2, ())) == sub
 
 
 def test_conjugate_preserves_index(index2_table, index3_table):
-    a = generator(F2, 1)
+    a = word(F2, (1,))
     for table in (index2_table, index3_table):
         conj = conjugate_subgroup(table.subgroup, a)
         assert enumerate_cosets(conj).size == table.size
 
 
 def test_conjugate_membership(index2_table):
-    t = generator(F2, 1)
+    t = word(F2, (1,))
     conj_table = enumerate_cosets(conjugate_subgroup(index2_table.subgroup, t))
     for h in index2_table.subgroup.generators:
         assert conj_table.coset_of(t * h * t.inverse()) == 1
@@ -339,9 +337,9 @@ def test_schreier_requires_free_ambient(s3_table):
 
 
 def test_rewrite_fixed_points(index2_table, index2_basis):
-    r3 = index2_basis.free_group()
+    r3 = index2_basis.free_group
     for i in index2_table.points():
-        assert rewrite_in_basis(index2_table, index2_basis, identity(F2), i) == (i, identity(r3))
+        assert rewrite_in_basis(index2_table, index2_basis, Word(F2, ()), i) == (i, Word(r3, ()))
     for j, g in enumerate(index2_basis.generators, start=1):
         assert rewrite_in_basis(index2_table, index2_basis, g, 1) == (1, word(r3, (j,)))
 
@@ -349,7 +347,7 @@ def test_rewrite_fixed_points(index2_table, index2_basis):
 def test_rewrite_rejects_non_members(index2_table, index2_basis):
     # a is not in the subgroup: its scan from coset 1 ends at coset 2, and the
     # fiber factor t_2^-1 a is trivial
-    j, beta = rewrite_in_basis(index2_table, index2_basis, generator(F2, 1), 1)
+    j, beta = rewrite_in_basis(index2_table, index2_basis, word(F2, (1,)), 1)
     assert (j, beta.is_identity) == (2, True)
 
 
@@ -410,7 +408,7 @@ def test_rewrite_ends_at_coset_1_iff_a_member(case, seed):
     for _ in range(20):
         w = _random_word(rng, table.ambient)
         if rng.random() < 0.5:  # a member, as a product of basis words
-            w = eval_in_ambient(basis, _random_word(rng, basis.free_group()))
+            w = eval_in_ambient(basis, _random_word(rng, basis.free_group))
         j, beta = rewrite_in_basis(table, basis, w, 1)
         assert (j == 1) == (table.coset_of(w) == 1)
         if j == 1:

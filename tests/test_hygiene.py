@@ -59,9 +59,6 @@ CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").
 USER_API = (
     "cosets.cocycle",              # the paper's coset cocycle of gamma at coset i
     "measures.poisson_transform",  # the paper's Poisson transform of a measure
-    "measures.dirac",              # test convenience: the point mass at one point
-    "words.generator",             # test convenience: the i-th generator as a word
-    "words.identity",              # test convenience: the empty word of a group
 )
 
 

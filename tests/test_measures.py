@@ -22,11 +22,7 @@ from boundarylab import (
     FreeGroup,
     atomic_measure,
     boundary_point,
-    dirac,
-    generator,
-    identity,
     induced_space,
-    is_fiber_supported,
     isometry_defect,
     parse_word,
     poisson_transform,
@@ -43,7 +39,7 @@ from boundarylab.measures import (
     weight_from_json,
 )
 from boundarylab.spaces import BoundaryPoint, boundary_act
-from boundarylab.words import DEFAULT_BALL_CAP, BudgetExceededError, Word, cached_ball
+from boundarylab.words import DEFAULT_BALL_CAP, BudgetExceededError, Word, ball, word
 
 F2 = FreeGroup(2)
 Y2 = BoundarySpace(2)
@@ -103,11 +99,11 @@ def test_mass_validation():
 
 
 def test_dirac():
-    nu = dirac(Y2, A_INF)
+    nu = atomic_measure(Y2, [(A_INF, 1)])
     assert nu.is_dirac and sum(w for _, w in nu.atoms) == 1
     assert nu.support() == (A_INF,)
-    a = generator(F2, 1)
-    assert pushforward_group(a, nu) == dirac(Y2, Y2.act(a, A_INF))
+    a = word(F2, (1,))
+    assert pushforward_group(a, nu) == atomic_measure(Y2, [(Y2.act(a, A_INF), 1)])
 
 
 # -- push-forward -----------------------------------------------------------------
@@ -115,8 +111,8 @@ def test_dirac():
 
 def test_pushforward_group_examples():
     nu = half_half()
-    assert pushforward_group(identity(F2), nu) == nu
-    a = generator(F2, 1)
+    assert pushforward_group(Word(F2, ()), nu) == nu
+    a = word(F2, (1,))
     image = pushforward_group(a, nu)
     assert image.support() == (A_INF, boundary_point((1,), (2,)))
     assert sum(w for _, w in image.atoms) == 1
@@ -124,7 +120,7 @@ def test_pushforward_group_examples():
 
 def test_pushforward_is_action():
     rng = random.Random(17)
-    B = cached_ball(F2, 3)
+    B = ball(F2, 3)
     for _ in range(60):
         nu = atomic_measure(
             Y2,
@@ -191,15 +187,14 @@ def test_pushforward_map_and_fiber_support(index2_induced, index2_phi):
     )
     down = pushforward_map(index2_phi, fiber_nu)
     assert down.is_dirac and down.atoms[0] == (2, Fraction(1))
-    assert is_fiber_supported(index2_phi, fiber_nu) == 2
 
     spread = atomic_measure(
         index2_induced, [((1, y1), Fraction(1, 2)), ((2, y2), Fraction(1, 2))]
     )
-    assert is_fiber_supported(index2_phi, spread) is None
     assert not pushforward_map(index2_phi, spread).is_dirac
 
-    assert is_fiber_supported(index2_phi, dirac(index2_induced, (1, y1))) == 1
+    down = pushforward_map(index2_phi, atomic_measure(index2_induced, [((1, y1), 1)]))
+    assert down.is_dirac and down.atoms[0] == (1, Fraction(1))
 
 
 def test_pushforward_map_merges_weights(index2_induced, index2_phi):
@@ -216,7 +211,7 @@ def test_pushforward_map_merges_weights(index2_induced, index2_phi):
 
 def test_equivariance_square(index2_induced, index2_phi):
     rng = random.Random(23)
-    B = cached_ball(F2, 3)
+    B = ball(F2, 3)
     for idx in range(40):
         nu = sample_fiber_measure(index2_induced, 1 + idx % 2, rng, 4)
         g = rng.choice(B)
@@ -239,10 +234,10 @@ def test_cylinder_function_norm():
 
 def test_poisson_dirac_matches_direct_evaluation():
     xi = boundary_point((1,), (2,))
-    nu = dirac(Y2, xi)
+    nu = atomic_measure(Y2, [(xi, 1)])
     f = CylinderFunction(rank=2, depth=2, values={(1, 2): 1.0, (2, 1): -0.5})
     bf = poisson_transform(nu, f, 2)
-    for s in cached_ball(F2, 2):
+    for s in ball(F2, 2):
         assert bf[s] == cylinder_value(f, Y2.act(s, xi))
 
 
@@ -260,7 +255,7 @@ def test_poisson_unital_and_bounded():
 def test_poisson_affine_in_measure_linear_in_function():
     rng = random.Random(31)
     xi1, xi2 = A_INF, boundary_point((2,), (1,))
-    nu1, nu2 = dirac(Y2, xi1), dirac(Y2, xi2)
+    nu1, nu2 = atomic_measure(Y2, [(xi1, 1)]), atomic_measure(Y2, [(xi2, 1)])
     mix = atomic_measure(Y2, [(xi1, Fraction(1, 4)), (xi2, Fraction(3, 4))])
     f = CylinderFunction(rank=2, depth=1,
                          values={(1,): rng.random(), (2,): -rng.random()})
@@ -270,11 +265,11 @@ def test_poisson_affine_in_measure_linear_in_function():
         values={k: f.values.get(k, 0.0) + g.values.get(k, 0.0)
                 for k in set(f.values) | set(g.values)},
     )
-    for s in cached_ball(F2, 2):
+    for s in ball(F2, 2):
         p1 = poisson_transform(nu1, f, 0)
         p2 = poisson_transform(nu2, f, 0)
         pm = poisson_transform(mix, f, 0)
-        e = identity(F2)
+        e = Word(F2, ())
         assert abs(pm[e] - (0.25 * p1[e] + 0.75 * p2[e])) < 1e-12
         pf = poisson_transform(nu1, f, 2)
         pg = poisson_transform(nu1, g, 2)
@@ -287,7 +282,7 @@ def test_poisson_affine_in_measure_linear_in_function():
 
 def test_defect_zero_cases():
     xi = boundary_point((1, 2), (1,))
-    nu = dirac(Y2, xi)
+    nu = atomic_measure(Y2, [(xi, 1)])
     f = CylinderFunction(rank=2, depth=2, values={xi.expand(2): 1.0})
     assert isometry_defect(nu, f, 0) == 0.0  # identity already attains the norm
     const = CylinderFunction(rank=2, depth=1, values={c: 0.7 for c in Y2.cylinders(1, 4)})
@@ -344,10 +339,10 @@ def test_walk_matches_per_word_oracle(walk_spaces, space_pos, depth, radius, nat
     # values on cylinders the walk visits, so that the sums are not all 0
     ctx = space.ambient
     keys = {cylinder_key(space.act(s, p), depth)
-            for s in cached_ball(ctx, min(radius, 2)) for p in nu.support()}
+            for s in ball(ctx, min(radius, 2)) for p in nu.support()}
     values = {k: rng.uniform(-1, 1) for k in sorted(keys, key=repr) if rng.random() < 0.7}
     f = CylinderFunction(rank, depth, values, cosets=None if boundary else space.size)
-    probes = [rng.choice(cached_ball(ctx, radius + 2)) for _ in range(3)]
+    probes = [rng.choice(ball(ctx, radius + 2)) for _ in range(3)]
     assert poisson_transform(nu, f, radius) == per_word_poisson_transform(nu, f, radius)
     # each probe, over the radius or not, by the same one-letter step
     assert (list(_poisson_walk(nu, f, 0, probes))[1:]
@@ -378,7 +373,7 @@ def test_defect_cap_checked_before_walking(monkeypatch):
 def test_cylinder_keys_are_checked_at_construction():
     # a stray key counted toward norm(): on the Dirac at ab|a it turned a
     # radius-3 defect of 0.0 into 4.0
-    nu = dirac(BoundarySpace(2), boundary_point((1, 2), (1,)))
+    nu = atomic_measure(BoundarySpace(2), [(boundary_point((1, 2), (1,)), 1)])
     assert isometry_defect(nu, CylinderFunction(2, 2, {(1, 2): 1.0}), 3) == 0.0
     for stray in [(1,), (1, 3), (1, -1), (0, 1), (1, "b"), 5]:
         with pytest.raises(ValueError, match=rf"^values: key {re.escape(repr(stray))} is not"):
@@ -393,7 +388,7 @@ def test_cylinder_keys_are_checked_at_construction():
 
 def test_function_must_fit_the_measure_space(index2_induced, index2_table):
     nu = half_half()
-    fiber_nu = dirac(index2_induced, (1, A_INF))
+    fiber_nu = atomic_measure(index2_induced, [((1, A_INF), 1)])
     cases = [
         (nu, CylinderFunction(2, 1, {(1, (1,)): 1.0}, cosets=2), "f.cosets"),
         (nu, CylinderFunction(3, 1, {(3,): 1.0}), "f.rank"),
@@ -409,7 +404,7 @@ def test_function_must_fit_the_measure_space(index2_induced, index2_table):
     # a finite space has no cylinder functions
     f = CylinderFunction(2, 1, {(1,): 1.0})
     with pytest.raises(ValueError, match="^nu.space: a CosetTable"):
-        isometry_defect(dirac(index2_table, 1), f, 2)
+        isometry_defect(atomic_measure(index2_table, [(1, 1)]), f, 2)
     # a probe from another free group is refused when it is evaluated
     with pytest.raises(ValueError, match="probe"):
         isometry_defect(nu, f, 2, probes=[parse_word(FreeGroup(3), "c")])
@@ -459,12 +454,12 @@ def test_point_letters_up_to_rank_accepted(index2_induced):
 
 def test_poisson_on_induced_space(index2_induced):
     y = boundary_point((), (2,))
-    nu = dirac(index2_induced, (1, y))
+    nu = atomic_measure(index2_induced, [((1, y), 1)])
     f = CylinderFunction(rank=3, depth=1, values={(1, (2,)): 1.0, (2, (2,)): -1.0},
                          cosets=2)
     bf = poisson_transform(nu, f, 1)
-    e = identity(F2)
-    a = generator(F2, 1)
+    e = Word(F2, ())
+    a = word(F2, (1,))
     assert bf[e] == 1.0          # (1, b...) cylinder
     assert bf[a] == -1.0         # a moves to coset 2, fiber unchanged
     assert abs(isometry_defect(nu, f, 1)) == 0.0

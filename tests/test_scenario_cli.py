@@ -414,6 +414,13 @@ def _with_extension(**changes):
     ({**SMALL_SCENARIO, "checks": [{"check": "minimal-finite"}],
       "extensions": [{"name": "x", "size": 1, "action": {"a": [1], "b": [1]},
                       "projection": [5]}]}, "extensions: "),
+    ({**SMALL_SCENARIO, "budget": {"steps": 1}}, "budget: unknown field"),
+    ({**SMALL_SCENARIO, "group": {"kind": "free", "rank": 2, "degree": 3}},
+     "group.degree: unknown field"),
+    ({**S3_SCENARIO, "group": {**S3_SCENARIO["group"], "rank": 2}}, "group.rank: unknown field"),
+    (_with_extension(weight=1), "extensions[0].weight: unknown field"),
+    (_with_extension(action={"a": [1, 3, 2, 4, 6, 5], "b": [2, 3, 1, 5, 6, 4],
+                             "A": [1, 3, 2, 4, 6, 5]}), "extensions[0].action.A: unknown field"),
 ])
 def test_cli_malformed_field_exits_2(tmp_path, capsys, scenario, fieldname):
     path = tmp_path / "malformed.json"

@@ -10,8 +10,6 @@ from boundarylab import (
     PermutationGroup,
     Word,
     ball,
-    generator,
-    identity,
     parse_word,
     permutation_of,
     word,
@@ -67,12 +65,12 @@ def test_reduce_idempotent_and_scan_clean(ls):
 
 
 def test_multiply_laws():
-    a, b = generator(F2, 1), generator(F2, 2)
+    a, b = word(F2, (1,)), word(F2, (2,))
     w = a * b * a.inverse()
-    assert identity(F2) * w == w
-    assert w * identity(F2) == w
+    assert Word(F2, ()) * w == w
+    assert w * Word(F2, ()) == w
     assert (a * b) * parse_word(F2, "Ba") == word(F2, (1, 1))
-    assert w * w.inverse() == identity(F2)
+    assert w * w.inverse() == Word(F2, ())
 
 
 @given(letters2, letters2)
@@ -92,7 +90,7 @@ def test_associativity_on_ball_samples():
 
 
 def test_inverse():
-    assert identity(F2).inverse() == identity(F2)
+    assert Word(F2, ()).inverse() == Word(F2, ())
     assert parse_word(F2, "aB").inverse() == parse_word(F2, "bA")
 
 
@@ -105,7 +103,7 @@ def test_inverse_involution(ls):
 
 def test_mismatched_contexts_raise():
     with pytest.raises(ValueError):
-        generator(F2, 1) * generator(FreeGroup(3), 1)
+        word(F2, (1,)) * word(FreeGroup(3), (1,))
 
 
 def test_letter_out_of_range():
@@ -131,6 +129,8 @@ def test_ball_sizes_free():
                 BoundarySpace(rank).cylinders(depth, len(sphere) - 1)
         with pytest.raises(BudgetExceededError):
             BoundarySpace(rank).cylinders(10**9, 10**6)
+        with pytest.raises(ValueError, match="depth"):
+            BoundarySpace(rank).cylinders(-1, 10**6)
 
 
 def test_ball_cap_is_counted_before_building():
@@ -175,8 +175,8 @@ def test_ball_refuses_a_permutation_group():
 
 def test_permutation_of():
     s3 = PermutationGroup(3, ((1, 0, 2), (1, 2, 0)))
-    assert permutation_of(identity(s3)) == (0, 1, 2)
-    assert permutation_of(generator(s3, 1)) == (1, 0, 2)
+    assert permutation_of(Word(s3, ())) == (0, 1, 2)
+    assert permutation_of(word(s3, (1,))) == (1, 0, 2)
     w = parse_word(s3, "abAB")
     assert permutation_of(w * w.inverse()) == (0, 1, 2)
 
@@ -196,7 +196,7 @@ def test_permutation_homomorphism():
 
 def test_permutation_of_rejects_free_context():
     with pytest.raises(ValueError):
-        permutation_of(generator(F2, 1))
+        permutation_of(word(F2, (1,)))
 
 
 @given(letters2)
