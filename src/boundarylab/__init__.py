@@ -37,7 +37,6 @@ from .spaces import (
     induced_extension,
     induced_space,
     parse_boundary_point,
-    parse_induced_point,
     stabilizer_subgroup,
 )
 from .measures import (

@@ -15,7 +15,7 @@ evaluated in any order (results are assembled in sample order).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import groupby
 from typing import Optional, Sequence
@@ -87,14 +87,7 @@ class CheckReport:
     truncation: dict
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "verdict": self.verdict,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "evidence": self.evidence,
-            "truncation": self.truncation,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # -- concentration bookkeeping --------------------------------------------------
@@ -374,8 +367,8 @@ def _contract_fiber_lift(nu, target, budget):
     fsteps = _axis_power_steps(fiber_pts, space.fiber.rank, target, budget)
     if fsteps is None:
         return None
-    lifts = {w.letters: w for w in fsteps}  # at most two distinct steps
-    lifts = {key: space.lift(i, w) for key, w in lifts.items()}
+    # at most two distinct steps, keyed by their letters: a Word hashes in Python
+    lifts = {ls: space.lift(i, w) for ls, w in {w.letters: w for w in fsteps}.items()}
     return [lifts[w.letters] for w in fsteps]
 
 
@@ -449,24 +442,23 @@ def _random_weights(space, pts, rng: random.Random) -> AtomicMeasure:
     return atomic_measure(space, [(p, Fraction(num, total)) for p, num in zip(pts, nums)])
 
 
-def sample_fiber_measure(
-    space: InducedSpace, coset: int, rng: random.Random, max_atoms: int
-) -> AtomicMeasure:
-    """Fiber-supported measure: walk-generated atoms, random rational weights."""
-    rank = space.fiber.rank
-    pts = _distinct_draws(
-        rng.randint(1, max_atoms), lambda: (coset, sample_boundary_point(rng, rank))
-    )
-    return _random_weights(space, pts, rng)
-
-
 def sample_boundary_measure(
     space: BoundarySpace, rng: random.Random, max_atoms: int
 ) -> AtomicMeasure:
+    """Walk-generated atoms, random rational weights."""
     pts = _distinct_draws(
         rng.randint(1, max_atoms), lambda: sample_boundary_point(rng, space.rank)
     )
     return _random_weights(space, pts, rng)
+
+
+def sample_fiber_measure(
+    space: InducedSpace, coset: int, rng: random.Random, max_atoms: int
+) -> AtomicMeasure:
+    """The fiber boundary's :func:`sample_boundary_measure`, placed over
+    ``coset``: its atoms stay distinct and sorted, so they are not re-checked."""
+    nu = sample_boundary_measure(space.fiber, rng, max_atoms)
+    return AtomicMeasure(space, tuple(((coset, y), w) for y, w in nu.atoms))
 
 
 def sample_spread_measure(
@@ -488,6 +480,12 @@ def sample_spread_measure(
 
 
 # -- minimality ------------------------------------------------------------------------
+
+def _sweep(space: InducedSpace, movers: Sequence[Word], starts, depth: int) -> set:
+    """The (coset, depth-d fiber cylinder) of every mover's image of every
+    start, acting start by start; ``starts`` may be drawn lazily."""
+    return {(j, y.expand(depth)) for x in starts for j, y in (space.act(w, x) for w in movers)}
+
 
 def check_minimal_finite(space: FiniteSpace) -> CheckReport:
     """Transitivity of the generator action; FAIL carries an invariant subset."""
@@ -527,7 +525,7 @@ def check_minimal_symbolic(space: InducedSpace, depth: int, radius: int, samples
     for idx in range(samples):
         rng = random.Random(seed ^ idx)
         start = (rng.randint(1, n), sample_boundary_point(rng, space.fiber.rank))
-        hit = {(j, y.expand(depth)) for j, y in (space.act(w, start) for w in ballwords)}
+        hit = _sweep(space, ballwords, [start], depth)
         missing = targets - hit
         if missing:
             complete = False
@@ -829,16 +827,10 @@ def decompose_fibers(phi: ExtensionMap, radius: int, depth: int, samples: int,
                             for k in range(1, rank + 1))
 
         rng = random.Random(seed ^ i)
-        hit = set()
-        movers = [space.lift(i, w) for w in ballwords]
-        for _ in range(samples):
-            y = sample_boundary_point(rng, rank)
-            for mover in movers:
-                j, y2 = space.act(mover, (i, y))
-                if j != i:
-                    invariance_ok = False
-                    continue
-                hit.add(y2.expand(depth))
+        starts = ((i, sample_boundary_point(rng, rank)) for _ in range(samples))
+        images = _sweep(space, [space.lift(i, w) for w in ballwords], starts, depth)
+        invariance_ok = invariance_ok and all(j == i for j, _ in images)
+        hit = {c for j, c in images if j == i}
         fiber_covered = cyls <= hit
 
         entry = {

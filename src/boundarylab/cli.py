@@ -13,7 +13,7 @@ import os
 import sys
 
 from .checks import contract_measure, replay as replay_steps
-from .measures import measure_from_json
+from .measures import measure_from_json, point_to_json
 from .scenario import (
     ScenarioError,
     bundled_scenario_names,
@@ -23,7 +23,7 @@ from .scenario import (
     report_json_text,
     run_scenario,
 )
-from .spaces import boundary_point, induced_point_to_str
+from .spaces import boundary_point
 from .words import BudgetExceededError, Word
 
 
@@ -109,8 +109,8 @@ def _cmd_induce(args) -> int:
             samples.append(
                 {
                     "gamma": gamma.to_str(),
-                    "point": induced_point_to_str((i, y0)),
-                    "image": induced_point_to_str(image),
+                    "point": point_to_json((i, y0)),
+                    "image": point_to_json(image),
                 }
             )
     out = {
@@ -133,7 +133,7 @@ def _cmd_contract(args) -> int:
     if space_name not in ("induced", "fiber"):
         raise ScenarioError("measure.space: must be 'induced' or 'fiber'")
     space = scenario.induced if space_name == "induced" else scenario.induced.fiber
-    nu = measure_from_json(space, mdata["atoms"])
+    nu = measure_from_json(space, mdata["atoms"], "measure.atoms")
     target, steps = scenario.depths["target"], scenario.budgets["steps"]
     cert = contract_measure(nu, target, steps)
     if cert is None:

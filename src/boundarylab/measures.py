@@ -22,9 +22,7 @@ from .spaces import (
     ExtensionMap,
     FiniteSpace,
     InducedSpace,
-    induced_point_to_str,
     parse_boundary_point,
-    parse_induced_point,
 )
 from .words import DEFAULT_BALL_CAP, Word, alphabet, check_ball_size
 
@@ -229,19 +227,29 @@ def weight_from_json(x) -> Fraction:
 
 
 def point_to_json(p):
+    """A point as JSON: itself if finite, else ``"prefix|period"`` or ``"(i, prefix|period)"``."""
     if isinstance(p, int):
         return p
     if isinstance(p, BoundaryPoint):
         return p.to_str()
-    return induced_point_to_str(p)
+    i, y = p
+    return f"({i}, {y.to_str()})"
 
 
 def point_from_json(space, data):
+    """Inverse of :func:`point_to_json`, checking the coset and letters against ``space``."""
     if not isinstance(data, str):
         raise ValueError(f"point: must be a string, not {data!r}")
     boundary = isinstance(space, BoundarySpace)
     try:
-        point = parse_boundary_point(data) if boundary else parse_induced_point(data)
+        if boundary:
+            point = parse_boundary_point(data)
+        else:
+            t = data.strip()
+            if not (t.startswith("(") and t.endswith(")")):
+                raise ValueError(f"induced point must look like '(i, prefix|period)': {data!r}")
+            idx, _, rest = t[1:-1].partition(",")
+            point = (int(idx.strip()), parse_boundary_point(rest.strip()))
     except ValueError as exc:
         raise ValueError(f"point: {data!r}: {exc}") from exc
     if boundary:
@@ -261,12 +269,18 @@ def measure_to_json(nu: AtomicMeasure) -> list:
     ]
 
 
-def measure_from_json(space, data) -> AtomicMeasure:
+def measure_from_json(space, data, name: str) -> AtomicMeasure:
+    """Inverse of :func:`measure_to_json`; an error names its field under ``name``."""
     if not (isinstance(data, list)
             and all(isinstance(e, dict) and "point" in e and "weight" in e for e in data)):
-        raise ValueError('measure: must be a list of {"point", "weight"} objects')
-    pairs = [(point_from_json(space, e["point"]), weight_from_json(e["weight"])) for e in data]
+        raise ValueError(f'{name}: must be a list of {{"point", "weight"}} objects')
+    pairs = []
+    for k, e in enumerate(data):
+        try:
+            pairs.append((point_from_json(space, e["point"]), weight_from_json(e["weight"])))
+        except ValueError as exc:
+            raise ValueError(f"{name}[{k}].{exc}") from exc
     try:
         return atomic_measure(space, pairs)
     except ValueError as exc:
-        raise ValueError(f"measure: {exc}") from exc
+        raise ValueError(f"{name}: {exc}") from exc

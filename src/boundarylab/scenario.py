@@ -289,7 +289,6 @@ def _check_fields(scenario: Scenario, spec: dict) -> dict:
 class RunReport:
     scenario: dict
     checks: list
-    package_version: str
 
     def to_json(self, include_timing: bool = True) -> dict:
         checks = []
@@ -303,7 +302,7 @@ class RunReport:
             checks.append(item)
         return {
             "schema": REPORT_SCHEMA,
-            "package_version": self.package_version,
+            "package_version": __version__,
             "scenario": self.scenario,
             "checks": checks,
         }
@@ -341,7 +340,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 "wall_clock_s": round(elapsed, 6),
             }
         )
-    return RunReport(scenario=scenario.raw, checks=entries, package_version=__version__)
+    return RunReport(scenario=scenario.raw, checks=entries)
 
 
 def report_json_text(report: RunReport, include_timing: bool = True) -> str:
@@ -407,8 +406,11 @@ def replay_certificate(report_data: dict, check_id: str, cert_index: int):
     item = evidence[cert_index]
     if not isinstance(item, dict) or item.get("certificate") is None:
         raise ScenarioError(f"checks[{check_id}].evidence[{cert_index}]: carries no certificate")
-    nu = measure_from_json(space, item.get("measure"))
-    cert = ContractionCertificate.from_json(space, item["certificate"])
+    try:
+        nu = measure_from_json(space, item.get("measure"), "measure")
+        cert = ContractionCertificate.from_json(space, item["certificate"])
+    except ValueError as exc:
+        raise ScenarioError(f"checks[{check_id}].evidence[{cert_index}].{exc}") from exc
     ok, detail, _ = replay_steps(nu, cert)
     return ("PASS" if ok else "FAIL"), detail
 

@@ -278,20 +278,6 @@ def induced_space(table: CosetTable, basis: SchreierBasis) -> InducedSpace:
     return InducedSpace(table, basis)
 
 
-def parse_induced_point(s: str):
-    """Parse the ``"(i, prefix|period)"`` serialization."""
-    t = s.strip()
-    if not (t.startswith("(") and t.endswith(")")):
-        raise ValueError(f"induced point must look like '(i, prefix|period)': {s!r}")
-    idx, _, rest = t[1:-1].partition(",")
-    return (int(idx.strip()), parse_boundary_point(rest.strip()))
-
-
-def induced_point_to_str(point) -> str:
-    i, y = point
-    return f"({i}, {y.to_str()})"
-
-
 # -- extensions ----------------------------------------------------------------------
 
 @dataclass(frozen=True)

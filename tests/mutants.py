@@ -55,6 +55,16 @@ LIFTING = ("tests/test_checks.py::test_contraction_lifting_flags_a_fiber_support
 CAPPED = ("tests/test_checks.py::test_decompose_fibers_caps_its_coverage_ball",)
 SETTINGS = ("tests/test_checks.py::test_engines_refuse_settings_that_check_nothing",)
 CYLINDERS = ("tests/test_words.py::test_ball_sizes_free",)
+DIAGONAL = ("tests/test_census.py::test_induced_action_is_the_diagonal_action",
+            "tests/test_census.py::test_push_commutes_with_the_ambient_push")
+SWEEP = ("tests/test_checks.py::test_minimal_symbolic_induced",
+         "tests/test_checks.py::test_decompose_fibers_index2")
+SWEEP_INVARIANCE = ("tests/test_checks.py::"
+                    "test_decompose_fibers_reads_invariance_off_the_coverage_sweep",)
+FIBER_SAMPLE = ("tests/test_checks.py::test_fiber_lift_conjugated_steps",)
+POINT_TEXT = ("tests/test_spaces.py::test_induced_point_serialization",)
+REPORT_SHAPE = ("tests/test_checks.py::test_check_report_json_shape",)
+LIFTS = ("tests/test_checks.py::test_replay_rewrites_once_per_coset",)
 
 _ROOT = """    n = len(period)
     for d in _divisors(n):
@@ -247,5 +257,45 @@ MUTANTS = (
     )),
     Mutant("cylinders: a negative depth accepted", CYLINDERS, (
         ("spaces.py", "        if depth < 0:\n", "        if False:\n"),
+    )),
+    # the induced action is the diagonal action on the cosets times the
+    # ambient boundary (oracles.ambient_point)
+    Mutant("diagonal oracle: rewrite without the reversal of its emitted letters", DIAGONAL, (
+        ("cosets.py", "tuple(out[::-1])", "tuple(out)"),
+    )),
+    Mutant("diagonal oracle: schreier_basis stores (i, b) for the inverse step", DIAGONAL, (
+        ("cosets.py", "(j, b), (i, -b)", "(j, b), (i, b)"),
+    )),
+    # one coverage sweep, one walk-and-weight sampler, one induced-point
+    # parser and printer, report keys read off the fields
+    Mutant("sweep: images expanded one letter too deep", SWEEP, (
+        ("checks.py", "{(j, y.expand(depth)) for x in starts", "{(j, y.expand(depth + 1)) for x in starts"),
+    )),
+    Mutant("fibers: invariance not read off the sweep", SWEEP_INVARIANCE, (
+        ("checks.py", "        invariance_ok = invariance_ok and all(j == i for j, _ in images)\n", ""),
+    )),
+    Mutant("fiber sampler: every atom placed over coset 1", FIBER_SAMPLE, (
+        ("checks.py", "tuple(((coset, y), w) for y, w in nu.atoms)",
+         "tuple(((1, y), w) for y, w in nu.atoms)"),
+    )),
+    Mutant("induced point: printed without the space after the comma", POINT_TEXT, (
+        ("measures.py", 'return f"({i}, {y.to_str()})"', 'return f"({i},{y.to_str()})"'),
+    )),
+    Mutant("induced point: coset range not checked", TAMPERED, (
+        ("measures.py", "if not 1 <= point[0] <= space.size:", "if False:"),
+    )),
+    Mutant("check report: the last field left out of its JSON", REPORT_SHAPE, (
+        ("checks.py", "for f in fields(self)}", "for f in fields(self)[:-1]}"),
+    )),
+    Mutant("fiber lift: every step lifted as the first", LIFTS, (
+        ("checks.py", "{ls: space.lift(i, w) for ls, w in", "{ls: space.lift(i, fsteps[0]) for ls, w in"),
+    )),
+    # replay and contract name a bad measure or certificate by its full path
+    Mutant("measure: the atom index not named", TAMPERED, (
+        ("measures.py", 'raise ValueError(f"{name}[{k}].{exc}")', 'raise ValueError(f"{name}.{exc}")'),
+    )),
+    Mutant("replay: the evidence path not named", TAMPERED, (
+        ("scenario.py", 'raise ScenarioError(f"checks[{check_id}].evidence[{cert_index}].{exc}") from exc',
+         "raise"),
     )),
 )

@@ -12,8 +12,8 @@ from dataclasses import replace
 
 from boundarylab.checks import _points_depth, concentration
 from boundarylab.cosets import (FiniteSpace, InfiniteIndexError, SchreierBasis, SubgroupHandle,
-                                _canonicalize, _find, enumerate_cosets, rewrite_in_basis,
-                                schreier_basis)
+                                _canonicalize, _find, enumerate_cosets, eval_in_ambient,
+                                rewrite_in_basis, schreier_basis)
 from boundarylab.measures import pushforward_group
 from boundarylab.spaces import (
     BoundaryPoint,
@@ -337,3 +337,18 @@ def random_induced_space(rng, max_index: int) -> InducedSpace:
     perms = [first] + [rng.sample(range(1, m + 1), m) for _ in range(ctx.rank - 1)]
     table = enumerate_cosets(stabilizer_subgroup(FiniteSpace.make(ctx, m, perms), 1))
     return InducedSpace(table, schreier_basis(table))
+
+
+def ambient_point(space: InducedSpace, p) -> BoundaryPoint:
+    """pi(i, y) = t_i . iota(y), iota writing the fiber point y in ambient
+    letters: its prefix and period evaluated through the basis words.  From
+    g t_i = t_j beta, pi(g . (i, y)) = t_j iota(beta . y) = g . pi(i, y), so
+    (i, y) -> (i, pi(i, y)) carries the induced action to the diagonal action
+    on the cosets times the ambient boundary.  It reads only the transversal
+    and the basis generators, never ``rewrite_in_basis`` or the Schreier
+    steps."""
+    i, y = p
+    fiber = space.basis.free_group
+    iota = boundary_point(eval_in_ambient(space.basis, Word(fiber, y.prefix)).letters,
+                          eval_in_ambient(space.basis, Word(fiber, y.period)).letters)
+    return boundary_act(space.table.rep(i).letters, iota)

@@ -335,7 +335,7 @@ def test_criterion_05_sp_extension_certificates():
         # independent replay from the serialized data alone
         from boundarylab.measures import measure_from_json
 
-        nu = measure_from_json(space, entry["measure"])
+        nu = measure_from_json(space, entry["measure"], "measure")
         cert = ContractionCertificate(
             steps=tuple(parse_word(F2, s) for s in cert_data["steps"]),
             achieved_depth=cert_data["achieved_depth"],

@@ -10,16 +10,21 @@ Hall's (M. Hall, "Subgroups of finite index in free groups", Canad. J. Math.
 
 import itertools
 import json
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import conjugate_subgroup, same_subgroup
+from oracles import ambient_point, conjugate_subgroup, random_induced_space, same_subgroup
 
-from boundarylab import (FiniteSpace, FreeGroup, decompose_fibers, enumerate_cosets,
-                         induced_extension, induced_space, schreier_basis, stabilizer_subgroup,
-                         subgroup, word)
+from boundarylab import (BoundarySpace, FiniteSpace, FreeGroup, atomic_measure,
+                         boundary_point, contract_measure, decompose_fibers, enumerate_cosets,
+                         induced_extension, induced_space, pushforward_group, schreier_basis,
+                         stabilizer_subgroup, subgroup, word)
+from boundarylab.checks import certificate_element, sample_fiber_measure, sample_spread_measure
+from boundarylab.spaces import boundary_act
+from boundarylab.words import reduce_letters
 from boundarylab.scenario import report_json_text, run_scenario, scenario_from_dict
 
 
@@ -166,3 +171,76 @@ def test_membership_rule_matches_table_equality(census, data):
     with mock.patch("boundarylab.checks.stabilizer_subgroup", stabilizer):
         report = decompose_fibers(phi, radius=0, depth=1, samples=1, seed=0)
     assert report.evidence[i - 1]["matches_conjugate"] == expected
+
+
+# -- the diagonal-action oracle ---------------------------------------------------------------
+# pi(i, y) = t_i . iota(y) (oracles.ambient_point) carries the induced action
+# to the diagonal one on the cosets times the ambient boundary, through code
+# that shares nothing with the Schreier rewriting the package acts by.
+
+LETTERS = st.lists(st.integers(-1000, 1000).filter(bool), max_size=12)
+
+
+def _in_rank(letters, rank: int) -> tuple:
+    """Each drawn letter folded onto one of ``rank`` generators, its sign kept."""
+    return tuple((1 + (abs(l) - 1) % rank) * (1 if l > 0 else -1) for l in letters)
+
+
+def _draw_space(census, data):
+    """A census subgroup's induced space, or a random subgroup's of index <= 64."""
+    if data.draw(st.booleans()):
+        table = data.draw(st.sampled_from(census[2] + census[3]))
+        return induced_space(table, schreier_basis(table))
+    return random_induced_space(random.Random(data.draw(st.integers(0, 2**32))), 64)
+
+
+def _draw_point(space, data):
+    """(i, y) with y an eventually periodic fiber point (period a when the
+    drawn one reduces to nothing)."""
+    rank = space.fiber.rank
+    period = reduce_letters(_in_rank(data.draw(LETTERS), rank)) or (1,)
+    y = boundary_point(_in_rank(data.draw(LETTERS), rank), period)
+    return data.draw(st.integers(1, space.size)), y
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_induced_action_is_the_diagonal_action(census, data):
+    space = _draw_space(census, data)
+    i, y = _draw_point(space, data)
+    g = word(space.ambient, _in_rank(data.draw(LETTERS), space.ambient.rank))
+    j, _ = image = space.act(g, (i, y))
+    assert ambient_point(space, image) == boundary_act(g.letters, ambient_point(space, (i, y)))
+    assert j == space.table.coset_of(g * space.table.rep(i))
+
+
+@given(data=st.data())
+def test_ambient_point_is_injective_on_each_fiber(census, data):
+    space = _draw_space(census, data)
+    i, _ = _draw_point(space, data)
+    ys = {_draw_point(space, data)[1] for _ in range(6)}
+    assert len({ambient_point(space, (i, y)) for y in ys}) == len(ys)
+
+
+def _ambient_measure(nu):
+    """The image of an induced measure under pi, on the ambient boundary."""
+    space = nu.space
+    return atomic_measure(BoundarySpace(space.ambient.rank),
+                          [(ambient_point(space, p), w) for p, w in nu.atoms])
+
+
+@given(data=st.data())
+def test_push_commutes_with_the_ambient_push(census, data):
+    # a certificate's element on a fiber measure, a random word on a measure
+    # spread over several cosets
+    space = _draw_space(census, data)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if space.size < 2 or data.draw(st.booleans()):
+        nu = sample_fiber_measure(space, rng.randint(1, space.size), rng, 4)
+        cert = contract_measure(nu, 8, 64)
+        assert cert is not None
+        g = certificate_element(cert.steps) if cert.steps else word(space.ambient, ())
+    else:
+        nu = sample_spread_measure(space, rng, 4)
+        g = word(space.ambient, _in_rank(data.draw(LETTERS), space.ambient.rank))
+    assert pushforward_group(g, _ambient_measure(nu)) == _ambient_measure(pushforward_group(g, nu))

@@ -580,6 +580,24 @@ def test_decompose_fibers_reads_invariance_from_every_basis_letter(index2_phi, m
     assert all(e["transport_ok"] and e["matches_conjugate"] for e in report.evidence)
 
 
+def test_decompose_fibers_reads_invariance_off_the_coverage_sweep(index2_phi, monkeypatch):
+    # every basis letter's lift stays in its fiber, but one two-letter ball
+    # word's lift is sent into the other fiber: only the sweep sees it
+    space = index2_phi.source
+    stray = word(FreeGroup(space.fiber.rank), (1, 2))
+    lift = InducedSpace.lift
+
+    def misrouted(self, i, w):
+        g = lift(self, i, w)
+        return self.table.rep(3 - i) * self.table.rep(i).inverse() * g if w == stray else g
+
+    monkeypatch.setattr(InducedSpace, "lift", misrouted)
+    report = decompose_fibers(index2_phi, radius=2, depth=1, samples=2, seed=2)
+    assert report.verdict == "FAIL"
+    assert [e["invariance_ok"] for e in report.evidence] == [False, False]
+    assert all(e["transport_ok"] and e["matches_conjugate"] for e in report.evidence)
+
+
 def _parity_stabilizer(space, i):
     """The words of even b-exponent in Stab(i) of a rank-2 finite space: the
     stabilizer of i in two copies of the space that b swaps, of index 2 in

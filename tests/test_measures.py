@@ -431,10 +431,10 @@ def test_measure_serialization_round_trip(index2_induced):
     nu = sample_fiber_measure(index2_induced, 2, rng, 4)
     data = measure_to_json(nu)
     assert all(isinstance(e["weight"], str) for e in data)  # exact rationals as "p/q"
-    back = measure_from_json(index2_induced, data)
+    back = measure_from_json(index2_induced, data, "measure")
     assert back == nu
     nub = half_half()
-    assert measure_from_json(Y2, measure_to_json(nub)) == nub
+    assert measure_from_json(Y2, measure_to_json(nub), "measure") == nub
 
 
 @pytest.mark.parametrize("fiber, data", [
@@ -472,6 +472,6 @@ def test_json_weights_read_as_exact_decimals():
         with pytest.raises(ValueError, match="weight"):
             weight_from_json(bad)
     nu = measure_from_json(Y2, [{"point": "|a", "weight": 0.1},
-                                {"point": "|b", "weight": 0.9}])
+                                {"point": "|b", "weight": 0.9}], "measure")
     assert [w for _, w in nu.atoms] == [Fraction(1, 10), Fraction(9, 10)]
     assert measure_to_json(nu)[0]["weight"] == "1/10"

@@ -443,14 +443,18 @@ def _tamper_certificate(key, value):
     return tamper
 
 
-def _tamper_point(point):
+def _tamper_atom(key, value):
     def tamper(report):
         entry = _first_certificate(report)
         assert entry["certificate"]["steps"]  # so that replay acts on the point
-        entry["measure"][0]["point"] = point
+        entry["measure"][0][key] = value
         return report
     return tamper
 
+
+#: Where a replayed certificate's errors are named: the first certificate of
+#: the tiny scenario's sp-extension check is its evidence entry 0.
+AT = "error: checks[02-sp-extension].evidence[0]."
 
 ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "1/2"}]
 
@@ -473,8 +477,8 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
     ("contract", lambda _: {"atoms": [{"point": "(2, |a)"}]}, "measure"),
     ("contract", lambda _: {"atoms": "(2, |a)"}, "measure"),
     ("contract", lambda _: {"atoms": [{"point": "(5, |a)", "weight": "1"}]}, "point"),
-    ("replay", _tamper_point("(9, |a)"), "point"),
-    ("replay", _tamper_point("(-1, |a)"), "point"),
+    ("replay", _tamper_atom("point", "(9, |a)"), "point"),
+    ("replay", _tamper_atom("point", "(-1, |a)"), "point"),
     ("contract", lambda _: {"atoms": [{"point": "(2, 5)", "weight": "1"}]}, "point"),
     ("contract", lambda _: {"atoms": [{"point": "(2, |a)", "weight": "1/0"}]}, "weight"),
     ("contract", lambda _: {"atoms": [{"point": "(1, |z)", "weight": "1/2"},
@@ -484,35 +488,47 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
                                       {"point": "|b", "weight": "1/2"}]}, "rank 3"),
     ("contract", lambda _: {"atoms": [{"point": "(2, |a)", "weight": "1/2"},
                                       {"point": "(2, |b)", "weight": "1/4"}]},
-     "measure: atom weights sum to 3/4, not 1"),
+     "error: measure.atoms: atom weights sum to 3/4, not 1"),
     ("contract", lambda _: {"atoms": [{"point": p, "weight": 0.3333333333333333}
                                       for p in ("(2, |a)", "(2, |b)", "(2, |c)")]},
-     "measure: atom weights sum to 9999999999999999/10000000000000000, not 1"),
+     "error: measure.atoms: atom weights sum to 9999999999999999/10000000000000000, not 1"),
     ("contract", lambda _: {"atoms": [{"point": "(x, |a)", "weight": "1"}]}, "point:"),
     ("contract", lambda _: {"atoms": [{"point": "(2, |a!)", "weight": "1"}]}, "point:"),
     ("replay", _tamper_certificate("achieved_depth", -2), "certificate.achieved_depth"),
     ("replay", _tamper_certificate("achieved_depth", 0), "certificate.achieved_depth"),
     ("replay", _tamper_certificate("steps", ["a", "x"]),
-     "error: certificate.steps[1]: letter 24 out of range for rank-2 context"),
+     AT + "certificate.steps[1]: letter 24 out of range for rank-2 context"),
     ("replay", _tamper_certificate("steps", ["1"]),
-     "error: certificate.steps[0]: invalid word character '1'"),
+     AT + "certificate.steps[0]: invalid word character '1'"),
     ("replay", _tamper_certificate("limit_coset", "x"),
-     "error: certificate.limit_coset: must be an integer or null"),
+     AT + "certificate.limit_coset: must be an integer or null"),
     ("replay", _tamper_certificate("limit_cylinder", "1"),
-     "error: certificate.limit_cylinder: invalid word character '1'"),
+     AT + "certificate.limit_cylinder: invalid word character '1'"),
     ("replay", _tamper_certificate("limit_cylinder", "x"),
-     "error: certificate.limit_cylinder: letter 24 out of range for rank-3 context"),
-    ("replay", _tamper_certificate("limit_cylinder", "aA"), "error: certificate.limit_cylinder"),
+     AT + "certificate.limit_cylinder: letter 24 out of range for rank-3 context"),
+    ("replay", _tamper_certificate("limit_cylinder", "aA"), AT + "certificate.limit_cylinder"),
     ("replay", _tamper_certificate("limit_cylinder", "aA" * 4),
-     "error: certificate.limit_cylinder: must be a reduced word of length achieved_depth"),
+     AT + "certificate.limit_cylinder: must be a reduced word of length achieved_depth"),
     ("replay", _tamper_certificate("limit_cylinder", "a"),
-     "error: certificate.limit_cylinder: must be a reduced word of length achieved_depth"),
+     AT + "certificate.limit_cylinder: must be a reduced word of length achieved_depth"),
     ("replay", _tamper_certificate("limit_coset", 9),
-     "error: certificate.limit_coset: must be a coset in 1..2"),
+     AT + "certificate.limit_coset: must be a coset in 1..2"),
     ("replay", _tamper_certificate("limit_coset", 0),
-     "error: certificate.limit_coset: must be a coset in 1..2"),
+     AT + "certificate.limit_coset: must be a coset in 1..2"),
     ("replay", _tamper_certificate("limit_coset", None),
-     "error: certificate.limit_coset: must be a coset in 1..2"),
+     AT + "certificate.limit_coset: must be a coset in 1..2"),
+    ("replay", _tamper_atom("weight", "x"),
+     AT + "measure[0].weight: must be a rational string or a number, not 'x'"),
+    ("replay", _tamper_atom("point", "(9, a|b)"),
+     AT + "measure[0].point: coset of '(9, a|b)' must lie in 1..2"),
+    ("replay", _tamper_certificate("measure", 5),
+     AT + 'measure: must be a list of {"point", "weight"} objects'),
+    ("replay", _tamper_certificate("steps", 3), AT + "certificate.steps: must be a list"),
+    ("contract", lambda _: {"atoms": [{"point": "(2, |a)", "weight": "1/2"},
+                                      {"point": "(9, a|b)", "weight": "1/2"}]},
+     "error: measure.atoms[1].point: coset of '(9, a|b)' must lie in 1..2"),
+    ("contract", lambda _: {"atoms": [{"point": "(2, |a)", "weight": "x"}]},
+     "error: measure.atoms[0].weight: must be a rational string or a number, not 'x'"),
 ], ids=["report-list", "no-scenario", "no-checks", "int-steps", "str-measure",
         "str-achieved-depth", "scenario-without-seed", "scenario-infinite-index",
         "scenario-index-above-max-cosets", "bare-atom-list", "no-atoms", "atom-without-weight",
@@ -524,7 +540,9 @@ ATOMS = [{"point": "(2, |a)", "weight": "1/2"}, {"point": "(2, |b)", "weight": "
         "step-letter-above-rank", "step-bad-character", "str-limit-coset",
         "cylinder-bad-character", "cylinder-letter-above-fiber-rank",
         "cylinder-not-reduced", "cylinder-not-reduced-at-full-length", "cylinder-too-short",
-        "limit-coset-above-index", "limit-coset-zero", "limit-coset-null"])
+        "limit-coset-above-index", "limit-coset-zero", "limit-coset-null",
+        "replay-weight-path", "replay-point-path", "replay-measure-path", "replay-steps-path",
+        "contract-point-path", "contract-weight-path"])
 def test_cli_tampered_input_exits_2(tiny_path, tmp_path, capsys, command, tamper, fieldname):
     report = json.loads(report_json_text(run_scenario(scenario_from_dict(SMALL_SCENARIO))))
     path = tmp_path / "tampered.json"

@@ -16,7 +16,6 @@ from boundarylab import (
     induced_extension,
     induced_space,
     parse_boundary_point,
-    parse_induced_point,
     parse_word,
     rewrite_in_basis,
     schreier_basis,
@@ -25,11 +24,8 @@ from boundarylab import (
 )
 from boundarylab.cosets import cocycle, eval_in_ambient
 from boundarylab.checks import sample_boundary_point
-from boundarylab.spaces import (
-    boundary_act,
-    cylinder_after,
-    induced_point_to_str,
-)
+from boundarylab.measures import point_from_json, point_to_json
+from boundarylab.spaces import boundary_act, cylinder_after
 from boundarylab.words import Word, ball, reduce_letters
 from oracles import (conjugate_subgroup, frozen_fiber_space, padded_boundary_act,
                      sliced_boundary_point)
@@ -451,13 +447,13 @@ def test_boundary_point_serialization():
         parse_boundary_point("ab")
 
 
-def test_induced_point_serialization():
+def test_induced_point_serialization(index2_induced):
     p = (2, boundary_point((1,), (2,)))
-    s = induced_point_to_str(p)
+    s = point_to_json(p)
     assert s == "(2, a|b)"
-    assert parse_induced_point(s) == p
+    assert point_from_json(index2_induced, s) == p
     with pytest.raises(ValueError):
-        parse_induced_point("2, a|b")
+        point_from_json(index2_induced, "2, a|b")
 
 
 @given(g=letters, pair1=point_strategy, pair2=point_strategy)
